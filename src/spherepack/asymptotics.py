@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .numerics import monotone_root
 
 BERRY_ESSEEN_C = 30.0 / 4.0
 ATOM_MERGE_TOL = 1e-12
@@ -118,13 +119,12 @@ def solve_eta(
     rvs: list[FiniteSupportRV],
     q: float,
     eta_cap: float = 1.0,
-    tol: float = 1e-12,
 ) -> float:
     """The tilt eta in (0, eta_cap] with (1/n) sum_i Lambda_i'(eta) = q.
 
-    The map is strictly increasing; bisection drives the residual below
-    `tol`. q at or below the mean has no positive tilt; a root beyond the
-    cap raises rather than silently exceeding it.
+    The map is strictly increasing; its root is solved by Brent-Dekker on
+    [0, eta_cap]. q at or below the mean has no positive tilt; a root beyond
+    the cap raises rather than silently exceeding it.
     """
     if not rvs:
         raise DomainError("need at least one random variable")
@@ -141,17 +141,8 @@ def solve_eta(
         raise DomainError(f"q = {q} is at or beyond the maximum {vmax}")
     if mean_tilted(eta_cap) < q:
         raise DomainError(f"eta out of range: the root exceeds the cap {eta_cap}")
-    lo, hi = 0.0, eta_cap
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        fm = mean_tilted(mid)
-        if abs(fm - q) <= tol:
-            return mid
-        if fm < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    eta, _ = monotone_root(lambda eta: mean_tilted(eta) - q, 0.0, eta_cap)
+    return eta
 
 
 def slb_bound(

@@ -141,10 +141,7 @@ def _grid_compositions(w: Channel, R: float, nu: float, resolution: int) -> list
 
 def constants(w: Channel, R: float, nu: float, resolution: int = 64, lam_points: int = 65) -> ConstantsLedger:
     """Grid extrema over H x {P : E_SP(R,P) >= nu} with local refinement."""
-    nu_sel, a, L, epsilon = select_nu(w, R, resolution)
-    if abs(nu - nu_sel) > 1e-12:
-        # caller picked its own nu: keep it, reuse a/L/epsilon from the recipe
-        pass
+    _, a, L, epsilon = select_nu(w, R, resolution)
     esp_r, _ = esp_of_r(w, R, resolution)
     rho_r = rho_star_r(w, R, resolution)
     comps = _grid_compositions(w, R, nu, resolution)

@@ -28,7 +28,7 @@ from scipy.special import gammaln
 from .bounds import constants_ledger, refined_bound
 from .errors import ConfigError, DomainError, SpherepackError
 from .nptest import np_alpha_for_composition
-from .numerics import refine_simplex_max, simplex_grid, strictly_increasing
+from .numerics import monotone_root, refine_simplex_max, simplex_grid, strictly_increasing
 from .probability import Channel, Distribution, capacity, load_channel, r_infinity
 from .saddle import esp_of_r, rho_star_r, saddle_point
 from .shifted import esp_q_primal
@@ -263,18 +263,10 @@ def bsc_study_rows(p: float, rate: float, n_grid: list[int]) -> list[list]:
         raise DomainError("bsc-study needs crossover p in (0, 1/2)")
     if not (0.0 < rate < np.log(2.0)):
         raise DomainError("bsc-study needs a rate in (0, log 2)")
-    h = -p * np.log(p) - (1 - p) * np.log1p(-p)
-    esp_closed = float("nan")
-    lo, hi = 1e-12, 0.5
     target = np.log(2.0) - rate
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        hm = -mid * np.log(mid) - (1 - mid) * np.log1p(-mid)
-        if hm < target:
-            lo = mid
-        else:
-            hi = mid
-    delta_r = 0.5 * (lo + hi)
+    delta_r, _ = monotone_root(
+        lambda d: -d * np.log(d) - (1 - d) * np.log1p(-d) - target, 1e-12, 0.5
+    )
     esp_closed = delta_r * np.log(delta_r / p) + (1 - delta_r) * np.log((1 - delta_r) / (1 - p))
 
     rows = []

@@ -1,8 +1,9 @@
 """Small deterministic numeric search utilities shared across modules.
 
 Everything here is dependency-light and purely functional: golden-section
-maximization on a bracket, monotone bisection, simplex grids, and a
-coordinate-ascent refiner over the probability simplex.
+maximization on a bracket, a bracketed Brent-Dekker root finder for
+monotone functions, simplex grids, and a coordinate-ascent refiner over the
+probability simplex.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from .errors import ConvergenceError
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
+ROOT_XTOL = 1e-14  # relative width of the final root bracket
+ROOT_MAX_ITER = 500
+_EPS = float(np.finfo(float).eps)
 
 
 def golden_max(
@@ -59,32 +63,62 @@ def golden_max(
     return x, fx, (a, b)
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    max_iter: int = 300,
-) -> float:
-    """Root of a monotone increasing f on [lo, hi] with f(lo) <= 0 <= f(hi)."""
-    flo, fhi = f(lo), f(hi)
-    if flo > 0 or fhi < 0:
-        raise ConvergenceError(
-            f"bisection bracket does not straddle the root: f({lo})={flo}, f({hi})={fhi}"
-        )
-    a, b = float(lo), float(hi)
-    for _ in range(max_iter):
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= tol and (b - a) <= max(tol, 1e-15 * max(abs(a), abs(b), 1.0)):
-            return m
-        if fm < 0:
-            a = m
+def monotone_root(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, tuple[float, float]]:
+    """Root of a monotone f on [lo, hi] by the Brent-Dekker method.
+
+    f(lo) and f(hi) must have opposite signs or be zero; f may increase or
+    decrease. Each step takes an inverse quadratic or secant interpolation
+    step when it stays well inside the bracket and shrinks fast enough, and
+    bisects otherwise (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4). Returns (x, bracket): the bracket contains x
+    and a sign change of f and is at most ROOT_XTOL * max(1, |x|) +
+    4 * eps * |x| wide; it is (x, x) when f(x) is exactly 0. A bracket
+    without a sign change, a NaN value of f, or a run past ROOT_MAX_ITER
+    raises ConvergenceError.
+    """
+    b, c = float(lo), float(hi)
+    fb, fc = f(b), f(c)
+    if not (fb <= 0.0 <= fc or fc <= 0.0 <= fb):
+        raise ConvergenceError(f"root bracket does not straddle a sign change: f({b})={fb}, f({c})={fc}")
+    # b is the best estimate, c the other end of the bracket, a the previous b
+    a, fa = c, fc
+    step = prev_step = b - c
+    for _ in range(ROOT_MAX_ITER):
+        if abs(fc) < abs(fb):
+            a, fa = b, fb
+            b, fb, c, fc = c, fc, b, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * ROOT_XTOL * max(1.0, abs(b))
+        half = 0.5 * (c - b)
+        if fb == 0.0:
+            return b, (b, b)
+        if abs(half) <= tol:
+            return b, (min(b, c), max(b, c))
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                num, den = 2.0 * half * s, 1.0 - s
+            else:
+                qa, rb = fa / fc, fb / fc
+                num = s * (2.0 * half * qa * (qa - rb) - (b - a) * (rb - 1.0))
+                den = (qa - 1.0) * (rb - 1.0) * (s - 1.0)
+            if num > 0.0:
+                den = -den
+            num = abs(num)
+            if 2.0 * num < min(3.0 * half * den - abs(tol * den), abs(prev_step * den)):
+                prev_step, step = step, num / den
+            else:
+                prev_step = step = half
         else:
-            b = m
-        if (b - a) <= tol * max(1.0, abs(a)):
-            break
-    return 0.5 * (a + b)
+            prev_step = step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else (tol if half > 0.0 else -tol)
+        fb = f(b)
+        if fb != fb:
+            raise ConvergenceError(f"root finder met f({b}) = NaN")
+        if (fb > 0.0) == (fc > 0.0) and fb != 0.0 and fc != 0.0:
+            c, fc = a, fa
+            step = prev_step = b - a
+    raise ConvergenceError(f"root finder did not converge in {ROOT_MAX_ITER} steps; bracket ({b}, {c})")
 
 
 def simplex_grid(k: int, resolution: int) -> np.ndarray:

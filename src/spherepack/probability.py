@@ -152,11 +152,6 @@ class Channel:
         return isinstance(other, Channel) and np.array_equal(self.rows, other.rows)
 
 
-# `ConditionalChannel` is the same value type in a different role (the
-# optimization variable V, or W^- after support reduction).
-ConditionalChannel = Channel
-
-
 def channel_from_json(text: str) -> Channel:
     """Parse the channel JSON format.
 

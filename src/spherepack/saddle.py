@@ -13,11 +13,12 @@ solves the fixed-point (KKT) equation
     Q*(y) = sum_x P(x) Wtilde_{lam, Q*}(y|x),   lam = rho*/(1+rho*).
 
 The solver pairs a damped fixed-point iteration for the inner minimum over Q
-with bracket-doubling plus golden-section search for the concave outer
-maximum over rho. `esp_primal_oracle` solves the primal problem
-min { D(V||W|P) : I(P;V) <= R } independently along the tilted-channel path,
-checking objective and constraint directly; it is the pre-build oracle the
-test suite leans on.
+with a root solve for the concave outer maximum over rho: bracket doubling
+on the sign of the envelope derivative g'(rho) = -R - Lambda - Lambda'/(1+rho)
+at Q_rho, then a Brent-Dekker root of g' on that bracket.
+`esp_primal_oracle` solves the primal problem min { D(V||W|P) : I(P;V) <= R }
+independently along the tilted-channel path, checking objective and
+constraint directly; it is the pre-build oracle the test suite leans on.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import golden_max, refine_simplex_max, simplex_grid
+from .numerics import monotone_root, refine_simplex_max, simplex_grid
 from .probability import (
     ZERO_TOL,
     Channel,
@@ -43,15 +44,15 @@ from .probability import (
 ESP_ZERO_TOL = 1e-10  # below this the saddle is reported degenerate (rho* = 0)
 INNER_TOL = 1e-12
 INNER_MAX_ITER = 100_000
-OUTER_WIDTH = 1e-10
 
 
 @dataclass(frozen=True)
 class SaddlePoint:
     """The saddle point (rho*, Q*) with value E_SP(R,P) and diagnostics.
 
-    `ternary_bracket` is the final golden-section bracket for rho;
-    `degenerate` marks the E_SP = 0 branch where rho* = 0 is allowed.
+    `ternary_bracket` is the root finder's final bracket for rho* (a sign
+    change of g'); `degenerate` marks the E_SP = 0 branch where rho* = 0 is
+    allowed.
     """
 
     rho_star: float
@@ -60,16 +61,6 @@ class SaddlePoint:
     fixed_point_residual: float
     ternary_bracket: tuple[float, float]
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class ExponentPoint:
-    """E_SP(R,P) together with the slope magnitude rho = -dE_SP/dR."""
-
-    R: float
-    P: Distribution
-    esp: float
-    rho: float
 
 
 def lambda_qp(w: Channel, q: Distribution, p: Distribution, lam: float) -> float:
@@ -111,76 +102,43 @@ def _active_parts(w: Channel, p: Distribution) -> tuple[np.ndarray, np.ndarray]:
     return w.rows[sup], p.probs[sup]
 
 
-def inner_opt_q(
-    w: Channel,
-    rho: float,
-    p: Distribution,
-    q0: np.ndarray | None = None,
-    tol: float = INNER_TOL,
-    max_iter: int = INNER_MAX_ITER,
-) -> Distribution:
+def _fixed_point(
+    rows: np.ndarray, weights: np.ndarray, lam: float, q0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The Q* fixed point Q <- sum_x P(x) Wtilde_{lam,Q}(.|x) from q0.
+
+    Damped (0.5) for the first 10 sweeps, then undamped. Returns
+    (q, t, z, resid) for the first iterate q whose undamped sweep moves it
+    by resid <= INNER_TOL in L1; t = W^(1-lam) q^lam row-wise and z its row
+    sums, so Lambda(q) = weights @ log z. From an iterate that already
+    passes, the result is q0 itself with its measured residual.
+    """
+    wpow = np.where(rows > 0, rows ** (1.0 - lam), 0.0)
+    q = q0
+    resid = float("inf")
+    for it in range(INNER_MAX_ITER):
+        t = wpow * q**lam
+        z = t.sum(axis=1)
+        sweep = (weights / z) @ t
+        resid = float(np.abs(sweep - q).sum())
+        if resid <= INNER_TOL:
+            return q, t, z, resid
+        q = 0.5 * (q + sweep) if it < 10 else sweep
+    raise ConvergenceError("inner fixed point for Q* did not converge", resid)
+
+
+def inner_opt_q(w: Channel, rho: float, p: Distribution) -> Distribution:
     """Maximizer of Lambda(.,P,lam) over Q for lam = rho/(1+rho).
 
-    Damped fixed-point iteration on Q <- sum_x P(x) Wtilde_{lam,Q}(.|x)
-    (damping 0.5 for the first 10 iterations, then undamped), stopping at
-    L1 update <= tol. Initial Q is the W-output marginal under P, which is
-    guaranteed inside P_{P,W}(Y).
+    Runs the saddle solver's Q* fixed point (damped for 10 sweeps, then
+    undamped, to an L1 sweep residual <= 1e-12) from the W-output marginal
+    under P, which is guaranteed inside P_{P,W}(Y).
     """
     if rho <= 0:
         raise DomainError("inner_opt_q needs rho > 0")
     rows, weights = _active_parts(w, p)
-    lam = rho / (1.0 + rho)
-    wpow = np.where(rows > 0, rows ** (1.0 - lam), 0.0)
-    q = weights @ rows if q0 is None else np.asarray(q0, dtype=float).copy()
-    q = q / q.sum()
-    resid = float("inf")
-    for it in range(max_iter):
-        t = wpow * q**lam
-        z = t.sum(axis=1)
-        q_new = (weights / z) @ t
-        if it < 10:
-            q_new = 0.5 * (q + q_new)
-        resid = float(np.abs(q_new - q).sum())
-        q = q_new
-        if resid <= tol:
-            return Distribution(q)
-    raise ConvergenceError("inner fixed point for Q* did not converge", resid)
-
-
-def _inner_state(
-    w: Channel,
-    rho: float,
-    p: Distribution,
-    q0: np.ndarray | None,
-) -> tuple[np.ndarray, float, float]:
-    """(q, Lambda(q), Lambda'(q)) for the inner maximizer; raw-array variant
-    used by the outer search so warm starts avoid Distribution round-trips.
-    Lambda' is the derivative in the tilt parameter at fixed q."""
-    rows, weights = _active_parts(w, p)
-    lam = rho / (1.0 + rho)
-    wpow = np.where(rows > 0, rows ** (1.0 - lam), 0.0)
-    q = weights @ rows if q0 is None else q0
-    q = q / q.sum()
-    for it in range(INNER_MAX_ITER):
-        t = wpow * q**lam
-        z = t.sum(axis=1)
-        q_new = (weights / z) @ t
-        if it < 10:
-            q_new = 0.5 * (q + q_new)
-        resid = float(np.abs(q_new - q).sum())
-        q = q_new
-        if resid <= INNER_TOL:
-            break
-    else:
-        raise ConvergenceError("inner fixed point for Q* did not converge", resid)
-    t = wpow * q**lam
-    z = t.sum(axis=1)
-    lam_val = float(weights @ np.log(z))
-    # E under the tilted rows of log(q/W), weighted by P
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where((rows > 0) & (q[None, :] > 0), np.log(q[None, :]) - np.log(np.where(rows > 0, rows, 1.0)), 0.0)
-    lam_der = float(weights @ ((t * ratio).sum(axis=1) / z))
-    return q, lam_val, lam_der
+    q, _, _, _ = _fixed_point(rows, weights, rho / (1.0 + rho), weights @ rows)
+    return Distribution(q)
 
 
 def _check_rate_domain(w: Channel, R: float) -> None:
@@ -199,80 +157,50 @@ def _degenerate_point(w: Channel, p: Distribution) -> SaddlePoint:
 def _saddle_cached(w: Channel, R: float, p: Distribution) -> SaddlePoint:
     if R >= mutual_information(p, w):
         return _degenerate_point(w, p)
-
-    hint: dict[str, np.ndarray | None] = {"q": None}
-
-    def g(rho: float) -> float:
-        q, lam_val, _ = _inner_state(w, rho, p, hint["q"])
-        hint["q"] = q
-        return -rho * R - (1.0 + rho) * lam_val
+    rows, weights = _active_parts(w, p)
+    log_rows = np.log(np.where(rows > 0, rows, 1.0))
+    q_warm = weights @ rows  # last inner solution, the next solve's start
 
     def g_prime(rho: float) -> float:
-        # envelope theorem at the inner minimizer Q_rho
-        q, lam_val, lam_der = _inner_state(w, rho, p, hint["q"])
-        hint["q"] = q
-        return -R - lam_val - lam_der / (1.0 + rho)
+        # envelope theorem at the inner maximizer Q_rho: Lambda' is the
+        # derivative in the tilt at fixed Q, E_tilted[log(Q/W)] weighted by P
+        nonlocal q_warm
+        q, t, z, _ = _fixed_point(rows, weights, rho / (1.0 + rho), q_warm)
+        q_warm = q
+        with np.errstate(divide="ignore"):
+            ratio = np.where((rows > 0) & (q > 0), np.log(q) - log_rows, 0.0)
+        lam_der = float(weights @ ((t * ratio).sum(axis=1) / z))
+        return -R - float(weights @ np.log(z)) - lam_der / (1.0 + rho)
 
-    # bracket by doubling from rho = 1 until g decreases
-    rho_prev, g_prev = 1.0, g(1.0)
-    lo, hi = 0.0, None
-    rho_cur = 2.0
+    # g is concave with g'(0) = I(P;W) - R > 0: double until g' turns negative
+    lo, hi = 0.0, 1.0
     for _ in range(80):
-        g_cur = g(rho_cur)
-        if g_cur < g_prev:
-            hi = rho_cur
+        if g_prime(hi) < 0:
             break
-        lo = rho_prev
-        rho_prev, g_prev = rho_cur, g_cur
-        rho_cur *= 2.0
-    if hi is None:
+        lo, hi = hi, 2.0 * hi
+    else:
         raise ConvergenceError("outer bracket for rho* did not close")
+    rho_star, bracket = monotone_root(g_prime, lo, hi)
 
-    rho_star, value, bracket = golden_max(g, lo, hi, width=OUTER_WIDTH)
+    lam = rho_star / (1.0 + rho_star)
+    q, _, _, _ = _fixed_point(rows, weights, lam, q_warm)
+    q_star = Distribution(q)
+    # measured residual of the returned Q* under one more fixed-point sweep
+    _, _, z, residual = _fixed_point(rows, weights, lam, q_star.probs)
+    value = -rho_star * R - (1.0 + rho_star) * float(weights @ np.log(z))
     if value <= ESP_ZERO_TOL:
         return _degenerate_point(w, p)
-
-    # golden section resolves the maximizer only to the value-noise plateau;
-    # polish on the monotone decreasing derivative
-    a = max(lo, bracket[0] - 1e-6)
-    b = min(hi, bracket[1] + 1e-6)
-    while a > lo and g_prime(a) < 0:
-        a = max(lo, a - (b - a))
-    while b < hi and g_prime(b) > 0:
-        b = min(hi, b + (b - a))
-    if g_prime(a) > 0 > g_prime(b):
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if g_prime(m) > 0:
-                a = m
-            else:
-                b = m
-            if b - a <= 1e-14 * max(1.0, b):
-                break
-        rho_star = 0.5 * (a + b)
-        bracket = (a, b)
-
-    q_star = inner_opt_q(w, rho_star, p, q0=hint["q"])
-    # measured residual of the returned Q* under one more fixed-point sweep
-    rows, weights = _active_parts(w, p)
-    lam = rho_star / (1.0 + rho_star)
-    wpow = np.where(rows > 0, rows ** (1.0 - lam), 0.0)
-    t = wpow * q_star.probs**lam
-    z = t.sum(axis=1)
-    sweep = (weights / z) @ t
-    residual = float(np.abs(sweep - q_star.probs).sum())
-    lam_val = float(weights @ np.log(z))
-    value = -rho_star * R - (1.0 + rho_star) * lam_val
     return SaddlePoint(float(rho_star), q_star, float(value), residual, bracket)
 
 
 def saddle_point(w: Channel, R: float, p: Distribution) -> SaddlePoint:
     """The unique saddle point of K_{R,P} with value E_SP(R,P).
 
-    Outer concave maximization over rho (bracket doubling + golden section to
-    width 1e-10), inner fixed point per evaluation. Degenerate instances
-    (R >= I(P;W), or a computed value below 1e-10) report rho* = 0 with the
-    output marginal as Q*.
+    rho* is the root of the envelope derivative g'(rho) of the concave outer
+    maximization, bracketed by doubling and solved by Brent-Dekker to a
+    relative bracket width of 1e-14, with an inner Q* fixed point per
+    evaluation. Degenerate instances (R >= I(P;W), or a value below 1e-10 at
+    the root) report rho* = 0 with the output marginal as Q*.
 
     R is in nats and must lie in the open interval (R_inf, C); any other
     rate raises DomainError.
@@ -286,11 +214,6 @@ def saddle_point(w: Channel, R: float, p: Distribution) -> SaddlePoint:
 def esp_value(w: Channel, R: float, p: Distribution) -> float:
     """E_SP(R,P) (0 on the degenerate branch)."""
     return saddle_point(w, R, p).value
-
-
-def exponent_point(w: Channel, R: float, p: Distribution) -> ExponentPoint:
-    sp = saddle_point(w, R, p)
-    return ExponentPoint(R=R, P=p, esp=sp.value, rho=sp.rho_star)
 
 
 def esp_primal_oracle(

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .numerics import golden_max, simplex_grid
+from .numerics import golden_max, monotone_root, simplex_grid
 from .probability import (
     ZERO_TOL,
     Channel,
@@ -74,7 +74,7 @@ class ShiftedContext:
         self.R = float(R)
         self.P = p
         self.saddle: SaddlePoint = sp
-        self.w_minus: Channel = _w_minus_from_saddle(w, p, sp.q_star)
+        self.w_minus: Channel = _w_minus_from_saddle(w, p, sp)
         self.d_wm_qstar = float(_d_wminus_qstar(w, p, sp.q_star))
         self.r = self.R - self.d_wm_qstar
         if self.r <= 0:
@@ -111,18 +111,19 @@ class ShiftedContext:
         return float(gmin), float(gmax)
 
 
-def _w_minus_from_saddle(w: Channel, p: Distribution, q_star: Distribution) -> Channel:
+def _w_minus_from_saddle(w: Channel, p: Distribution, sp: SaddlePoint) -> Channel:
+    q = sp.q_star.probs
     rows = w.rows.copy()
     for x in np.flatnonzero(p.support):
         mask = w.rows[x] > ZERO_TOL
-        mass = q_star.probs[mask].sum()
-        if mass <= 0:
+        if np.any(q[mask] == 0.0):
+            # the true Q* is positive on every used row support; a zero is
+            # Q*(y) decaying below the 1e-14 zero rule at large rho*
             raise InvariantViolationError(
-                "Q* puts no mass on a used row support; saddle point is corrupt"
+                f"Q* underflows to 0 (below {ZERO_TOL:g}) on the support of used input {x} "
+                f"(rho* = {sp.rho_star:.6g}); the rate is too close to R_inf for W^-"
             )
-        row = np.zeros(w.ny)
-        row[mask] = q_star.probs[mask] / mass
-        rows[x] = row
+        rows[x] = np.where(mask, q, 0.0) / q[mask].sum()
     return Channel(rows)
 
 
@@ -140,7 +141,7 @@ def w_minus(w: Channel, R: float, p: Distribution) -> Channel:
     sp = saddle_point(w, R, p)
     if sp.degenerate:
         raise DomainError("W^- undefined on the degenerate branch (E_SP = 0)")
-    return _w_minus_from_saddle(w, p, sp.q_star)
+    return _w_minus_from_saddle(w, p, sp)
 
 
 def r_of(w: Channel, R: float, p: Distribution) -> float:
@@ -195,14 +196,7 @@ def e0(ctx: ShiftedContext, s: float) -> float:
         raise DomainError("e0 needs s >= 0")
     if s == 0.0:
         return 0.0
-    a = 1.0 / (1.0 + s)
-    b = s / (1.0 + s)
-    total = 0.0
-    for wx, lw, t in zip(ctx._wx, ctx._logw, ctx._t):
-        logits = a * lw + b * (lw + t)
-        m = logits.max()
-        total += wx * (m + np.log(np.exp(logits - m).sum()))
-    return -(1.0 + s) * total
+    return -(1.0 + s) * cumulants(ctx, s / (1.0 + s)).lambda0
 
 
 def _e0_prime(ctx: ShiftedContext, s: float) -> float:
@@ -213,7 +207,8 @@ def _e0_prime(ctx: ShiftedContext, s: float) -> float:
 
 def tilde_esp(ctx: ShiftedContext, r: float) -> ShiftedExponent:
     """The shifted exponent inf { D(V||W|P) : D(V||W^-|P) <= r } via its
-    strictly concave 1-d dual max_{s>=0} { -s r + e0(s,P) }.
+    strictly concave 1-d dual max_{s>=0} { -s r + e0(s,P) }, whose maximizer
+    s* is the Brent-Dekker root of the decreasing derivative e0'(s) - r.
 
     For r >= D(W||W^-|P) the channel itself is feasible and the value is 0.
     Post-condition: Lambda0'(eta) = value - r within 1e-8 (regularity).
@@ -223,37 +218,20 @@ def tilde_esp(ctx: ShiftedContext, r: float) -> ShiftedExponent:
     if r >= ctx.d_w_wminus:
         return ShiftedExponent(0.0, 0.0, 0.0, 0.0)
 
-    def phi(s: float) -> float:
-        return -s * r + e0(ctx, s)
-
     def phi_prime(s: float) -> float:
         return _e0_prime(ctx, s) - r
 
-    hi = 1.0
+    # phi is concave with phi'(0) = D(W||W^-|P) - r > 0: double until
+    # phi' turns negative, then take the root of phi' on that bracket
+    lo, hi = 0.0, 1.0
     for _ in range(200):
         if phi_prime(hi) < 0:
             break
-        hi *= 2.0
+        lo, hi = hi, 2.0 * hi
     else:
         raise ConvergenceError("dual bracket for s* did not close")
-    s_star, value, bracket = golden_max(phi, 0.0, hi, width=1e-10)
-    # the objective is flat to double precision near the max; polish the
-    # maximizer on the monotone derivative instead
-    a, b = max(0.0, bracket[0] - 1e-6), bracket[1] + 1e-6
-    while phi_prime(a) < 0 and a > 0:
-        a = max(0.0, a - (b - a))
-    while phi_prime(b) > 0:
-        b += b - a
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if phi_prime(m) > 0:
-            a = m
-        else:
-            b = m
-        if b - a <= 1e-14 * max(1.0, b):
-            break
-    s_star = 0.5 * (a + b)
-    value = phi(s_star)
+    s_star, _ = monotone_root(phi_prime, lo, hi)
+    value = -s_star * r + e0(ctx, s_star)
     eta = s_star / (1.0 + s_star)
     gap = abs(cumulants(ctx, eta).d1 - (value - r))
     if gap > 1e-8:
@@ -279,12 +257,13 @@ def _boundary_value(ctx: ShiftedContext, upper: bool) -> float:
     return total
 
 
-def fenchel0(ctx: ShiftedContext, z: float, tol: float = 1e-12) -> float:
+def fenchel0(ctx: ShiftedContext, z: float) -> float:
     """Lambda0*(z) = sup_lam { lam z - Lambda0(lam) }.
 
-    Solved by bisection on the strictly increasing Lambda0' (positive
-    variance); +inf outside the closure of the gradient range, boundary
-    points by continuity.
+    The maximizer is the root of the strictly increasing Lambda0'(lam) - z
+    (positive variance), bracketed by expansion and solved by Brent-Dekker;
+    +inf outside the closure of the gradient range, boundary points by
+    continuity.
     """
     gmin, gmax = ctx.gradient_range()
     scale = max(1.0, abs(gmin), abs(gmax))
@@ -306,14 +285,7 @@ def fenchel0(ctx: ShiftedContext, z: float, tol: float = 1e-12) -> float:
         if cumulants(ctx, hi).d1 >= z:
             break
         hi = hi * 2.0 + 1.0
-    a, b = lo, hi
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        if cumulants(ctx, m).d1 < z:
-            a = m
-        else:
-            b = m
-    lam = 0.5 * (a + b)
+    lam, _ = monotone_root(lambda v: cumulants(ctx, v).d1 - z, lo, hi)
     return lam * z - lambda0(ctx, lam)
 
 

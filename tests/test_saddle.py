@@ -152,6 +152,26 @@ class TestSaddlePoint:
         slope = (esp_value(w, rate + h, p) - esp_value(w, rate - h, p)) / (2 * h)
         assert abs(sp.rho_star + slope) <= 1e-4
 
+    def test_rho_star_against_high_precision_kkt_solution(self):
+        # Reference: the saddle's KKT system at this instance, solved with
+        # mpmath at 50 significant digits (mp.findroot from the double
+        # solution, residual < 1e-45). Unknowns rho, Q(y0), Q(y1) with
+        # Q(y2) = 1 - Q(y0) - Q(y1); equations, with lam = rho/(1+rho) and
+        # t_x(y) = W(y|x)^(1-lam) Q(y)^lam over the used rows x in {0, 2}:
+        #   Q(y) = sum_x P(x) t_x(y) / sum_y' t_x(y')        (y = y0, y1)
+        #   0 = g'(rho) = -R - Lambda - Lambda' / (1 + rho),
+        #   Lambda  = sum_x P(x) log sum_y t_x(y),
+        #   Lambda' = sum_x P(x) sum_y t_x(y) log(Q(y)/W(y|x)) / sum_y t_x(y).
+        # rho* = 3.79240617998750432262783238207..., Q* = (0.172349043752535834...,
+        # 0.450524049676283815..., 0.377126906571180351...). A loose root
+        # tolerance would pass the 1e-4 finite-difference slope check above.
+        w = Channel([[0.8, 0.15, 0.05], [0.1, 0.7, 0.2], [0.0, 0.3, 0.7]])
+        p = Distribution([0.61191558837890625, 0.0, 0.38808441162109375])
+        sp = saddle_point(w, 0.1, p)
+        assert abs(sp.rho_star - 3.7924061799875042) <= 1e-10
+        lo, hi = sp.ternary_bracket
+        assert lo <= sp.rho_star <= hi and hi - lo <= 1e-13
+
     def test_continuity_under_small_perturbation(self):
         rng = np.random.default_rng(91)
         w, rate, p = nondegenerate_instance(rng, 3, 3)

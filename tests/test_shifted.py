@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from spherepack.errors import DomainError
+from spherepack.errors import DomainError, InvariantViolationError
 from spherepack.numerics import golden_max, simplex_grid
 from spherepack.probability import (
     Channel,
     Distribution,
+    capacity,
     conditional_kl,
     divergence_to_output,
     mutual_information,
+    r_infinity,
 )
 from spherepack.saddle import k_rp, saddle_point
 from spherepack.shifted import (
@@ -56,6 +58,22 @@ class TestWMinus:
         rate = mutual_information(p, bsc01) + 0.0005
         with pytest.raises(DomainError):
             w_minus(bsc01, rate, p)
+
+    def test_qstar_underflow_near_rinf_is_named(self):
+        # Just above R_inf, rho* ~ 63 and Q*(y1) ~ 1.6e-18 falls under the
+        # 1e-14 zero rule although W(y1|x0) > 0; W^- would take log 0 there.
+        rows = np.array([[0.0, 0.848, 0.152], [0.612, 0.0, 0.388], [0.16, 0.831, 0.01]])
+        w = Channel(rows / rows.sum(axis=1, keepdims=True))
+        p = Distribution([0.2, 0.5, 0.3])
+        c, _ = capacity(w)
+        rinf = r_infinity(w)
+        rate = rinf + 1e-6 * (c - rinf)
+        sp = saddle_point(w, rate, p)
+        assert sp.q_star.probs[1] == 0.0 and sp.rho_star > 50
+        with pytest.raises(InvariantViolationError, match=r"Q\* underflows to 0 .*rho\* = 6\d\.\d+"):
+            shifted_context(w, rate, p)
+        with pytest.raises(InvariantViolationError, match="underflows"):
+            w_minus(w, rate, p)
 
 
 class TestROf:
