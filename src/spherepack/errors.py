@@ -43,4 +43,4 @@ class InvariantViolationError(SpherepackError, RuntimeError):
 
 
 class AtomBudgetError(SpherepackError, RuntimeError):
-    """A convolution grew past the atom cap; coarsen the instance."""
+    """An exact log-likelihood-ratio law grew past the atom cap; coarsen the instance."""

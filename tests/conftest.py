@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+from spherepack.errors import AtomBudgetError, DomainError
+from spherepack.nptest import ATOM_CAP, LD, LogLrLaw, _letter_law, _merge_atoms
 from spherepack.probability import Channel, Distribution, capacity, r_infinity
 from spherepack.saddle import esp_value
 
@@ -137,3 +139,43 @@ def enumerate_loglr(pairs: list[tuple[Distribution, Distribution, int]]):
         elif pa > 0:
             alt_only += pa
     return atoms, null_only, alt_only
+
+
+def convolve_loglr(pairs: list[tuple[Distribution, Distribution, int]]) -> LogLrLaw:
+    """Reference log-LR law by N sequential one-letter convolutions, merging
+    after every copy (the construction `build_loglr_law` replaced)."""
+    t_tot = np.zeros(1)
+    logp_tot = np.zeros(1, dtype=LD)
+    log_null_common = LD(0.0)
+    log_alt_common = LD(0.0)
+    for null_row, alt_row, mult in pairs:
+        if mult < 0:
+            raise DomainError("multiplicities must be non-negative")
+        if mult == 0:
+            continue
+        lt, llogp, n_common, a_common = _letter_law(null_row, alt_row)
+        if lt.size == 0:
+            return LogLrLaw(
+                t=np.zeros(0),
+                logp_null=np.zeros(0, dtype=LD),
+                null_only_mass=1.0,
+                alt_only_mass=1.0,
+            )
+        log_null_common += LD(mult) * np.log(n_common)
+        log_alt_common += LD(mult) * np.log(a_common)
+        for _ in range(mult):
+            t_tot = (t_tot[:, None] + lt[None, :]).ravel()
+            logp_tot = (logp_tot[:, None] + llogp[None, :]).ravel()
+            t_tot, logp_tot = _merge_atoms(t_tot, logp_tot)
+            if t_tot.size > ATOM_CAP:
+                raise AtomBudgetError(
+                    f"convolution grew to {t_tot.size} atoms (cap {ATOM_CAP}); coarsen the instance"
+                )
+    null_only = float(LD(1.0) - np.exp(log_null_common))
+    alt_only = float(LD(1.0) - np.exp(log_alt_common))
+    return LogLrLaw(
+        t=t_tot,
+        logp_null=logp_tot,
+        null_only_mass=max(null_only, 0.0),
+        alt_only_mass=max(alt_only, 0.0),
+    )

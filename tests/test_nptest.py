@@ -1,11 +1,15 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from spherepack import nptest
 from spherepack.errors import DomainError
 from spherepack.nptest import (
+    ATOM_CAP,
     alpha_star,
+    alpha_star_fractional,
     build_loglr_law,
     np_alpha_for_composition,
     round_to_type,
@@ -15,7 +19,7 @@ from spherepack.probability import Channel, Distribution
 from spherepack.saddle import saddle_point
 from spherepack.shifted import shifted_context, tilde_esp
 
-from .conftest import enumerate_loglr, nondegenerate_instance
+from .conftest import convolve_loglr, enumerate_loglr, nondegenerate_instance
 
 
 class TestBuildLaw:
@@ -75,6 +79,92 @@ class TestBuildLaw:
         assert float(p_alt.sum()) == pytest.approx(1.0, rel=1e-10)
         assert float(np.exp(law.logp_null).sum()) == pytest.approx(1.0, rel=1e-10)
 
+    def test_type_classes_match_sequential_convolution(self):
+        rng = np.random.default_rng(41)
+        rows = [Distribution(rng.dirichlet([1.5, 1.5, 1.5])) for _ in range(4)]
+        for pairs in ([(rows[0], rows[1], 120)], [(rows[0], rows[1], 25), (rows[2], rows[3], 15)]):
+            law = build_loglr_law(pairs)
+            ref = convolve_loglr(pairs)
+            assert law.t.size == ref.t.size
+            assert np.allclose(law.t, ref.t, rtol=0.0, atol=1e-9)
+            rel = np.abs(np.expm1(np.asarray(law.logp_null - ref.logp_null, dtype=float)))
+            assert rel.max() <= 1e-10
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Counts the atoms formed by type classes and by convolution products."""
+        formed = [0]
+
+        def counted(blocks):
+            def wrapper(*args):
+                for block in blocks(*args):
+                    formed[0] += block[0].size
+                    yield block
+
+            return wrapper
+
+        monkeypatch.setattr(nptest, "_power_blocks", counted(nptest._power_blocks))
+        monkeypatch.setattr(nptest, "_product_blocks", counted(nptest._product_blocks))
+        return formed
+
+    @pytest.mark.parametrize(
+        "row, atoms, most",
+        [
+            # (1-2e, e, e): two values per letter, shared by all letters
+            ((0.8, 0.1, 0.1), 241, 50_000),
+            # cyclic (.7, .2, .1): three values in general position, shared by
+            # all letters; one product per letter would form
+            # 3321^2 + 13041 * 3321 = 54M atoms, copy by copy forms 6.9M
+            ((0.7, 0.2, 0.1), 29_161, 10_000_000),
+        ],
+        ids=["symmetric", "cyclic"],
+    )
+    def test_values_shared_across_letters_join_copy_by_copy(self, products, row, atoms, most):
+        rows = [Distribution(np.roll(row, x)) for x in range(3)]
+        uniform = Distribution([1 / 3] * 3)
+        pairs = [(r, uniform, 80) for r in rows]
+        law = build_loglr_law(pairs)
+        assert law.t.size == atoms  # C(N+D-1, D-1) for D shared values, N = 240
+        assert products[0] <= most
+        ref = convolve_loglr(pairs)
+        assert np.allclose(law.t, ref.t, rtol=0.0, atol=1e-9)
+        rel = np.abs(np.expm1(np.asarray(law.logp_null - ref.logp_null, dtype=float)))
+        assert rel.max() <= 1e-10
+
+    def test_lattice_letter_with_many_type_classes_powers_copy_by_copy(self, products):
+        # log-ratios (-2, -1, 1, 2) log 2: C(1003, 3) = 167,668,501 type
+        # classes land on the 4,001 values j log 2; copy by copy forms 8.0M
+        null = Distribution([0.5, 0.25, 0.125, 0.125])
+        alt = Distribution([0.125, 0.125, 0.25, 0.5])
+        law = build_loglr_law([(null, alt, 1000)])
+        assert law.t.size == 4001
+        assert np.allclose(law.t, np.arange(-2000, 2001) * np.log(2.0), rtol=0.0, atol=1e-9)
+        assert float(np.exp(law.logp_null).sum()) == pytest.approx(1.0, rel=1e-12)
+        assert products[0] <= 10_000_000
+
+    def test_integer_multiple_law_merges_blockwise(self):
+        # log-ratios (-log 2, log 2, 0): C(2002, 2) = 2,003,001 type classes,
+        # more than the atom cap, land on the 4,001 values j log 2
+        null = Distribution([0.5, 0.25, 0.25])
+        alt = Distribution([0.25, 0.5, 0.25])
+        tracemalloc.start()
+        try:
+            law = build_loglr_law([(null, alt, 2000)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 2_003_001 > ATOM_CAP
+        assert law.t.size == 4001
+        assert np.allclose(law.t, np.arange(-2000, 2001) * np.log(2.0), rtol=0.0, atol=1e-9)
+        assert float(np.exp(law.logp_null).sum()) == pytest.approx(1.0, rel=1e-12)
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("mult", [2.5, True, np.float64(3.0)])
+    def test_non_integer_multiplicity_rejected(self, mult):
+        p = Distribution([0.9, 0.1])
+        with pytest.raises(DomainError, match="integers"):
+            build_loglr_law([(p, Distribution([0.5, 0.5]), mult)])
+
 
 class TestAlphaStar:
     def test_zero_budget_accepts_everything(self):
@@ -82,6 +172,19 @@ class TestAlphaStar:
         tp = alpha_star(law, 0.0)
         assert tp.alpha == 0.0
         assert tp.beta == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha_of",
+        [lambda law, r: alpha_star(law, r).alpha, alpha_star_fractional],
+        ids=["alpha_star", "alpha_star_fractional"],
+    )
+    def test_nan_budget_rejected_infinite_budget_accepted(self, alpha_of):
+        law = build_loglr_law([(Distribution([0.9, 0.1]), Distribution([0.5, 0.5]), 8)])
+        for bad in (float("nan"), -0.1):
+            with pytest.raises(DomainError, match="non-negative"):
+                alpha_of(law, bad)
+        # +inf is the zero budget: every atom is rejected
+        assert alpha_of(law, float("inf")) == pytest.approx(1.0, abs=1e-12)
 
     def test_bsc_binomial_formula(self):
         # alpha equals the binomial tail beyond n*, for N = 10 and 20
@@ -248,6 +351,10 @@ class TestRoundToType:
         )
         ours = sum(abs(c / 10 - b) for c, b in zip(counts, p.probs))
         assert ours == pytest.approx(best, abs=1e-12)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(DomainError, match="non-negative length"):
+            round_to_type(Distribution([0.4, 0.6]), -3)
 
 
 class TestNpOracleEndToEnd:
