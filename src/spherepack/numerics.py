@@ -2,8 +2,8 @@
 
 Everything here is dependency-light and purely functional: golden-section
 maximization on a bracket, a bracketed Brent-Dekker root finder for
-monotone functions, simplex grids, and a coordinate-ascent refiner over the
-probability simplex.
+monotone functions, simplex grids, a coordinate-ascent refiner over the
+probability simplex, and an exact simplex-method solve of small matrix games.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, DomainError
 
 INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 ROOT_XTOL = 1e-14  # relative width of the final root bracket
 ROOT_MAX_ITER = 500
 _EPS = float(np.finfo(float).eps)
+GAME_PIVOT_TOL = 1e-12  # tableau entries this close to 0 count as 0
 
 
 def golden_max(
@@ -119,6 +120,57 @@ def monotone_root(f: Callable[[float], float], lo: float, hi: float) -> tuple[fl
             c, fc = a, fa
             step = prev_step = b - a
     raise ConvergenceError(f"root finder did not converge in {ROOT_MAX_ITER} steps; bracket ({b}, {c})")
+
+
+def matrix_game(a: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Value and optimal mixed strategies of the zero-sum game a[x, y] >= 0.
+
+    The row player picks x and pays a[x, y] to the column player, who picks
+    y: value = min_p max_y (p^T a)_y = max_q min_x (a q)_x. Every row needs a
+    positive entry, so the value is positive. The game is solved as the
+    linear program max 1^T z s.t. a^T z <= 1, z >= 0, whose optimum is
+    1 / value, with p = value * z and q = value * u for the optimal dual u
+    (the reduced costs of the slack columns). The dense tableau starts at
+    the slack basis, so no phase one is needed, and Bland's smallest-index
+    rule keeps degenerate pivots, common on 0/1 payoffs, from cycling.
+    Returns (value, p, q); p and q are exact up to rounding, so
+    max_y (p^T a)_y and min_x (a q)_x bracket the value to working precision.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.size == 0 or np.any(a < 0) or not np.all(a.max(axis=1) > 0):
+        raise DomainError("a matrix game needs a non-negative payoff with a positive entry in every row")
+    m, n = a.shape
+    scale = float(a.max())
+    tab = np.zeros((n + 1, m + n + 1))
+    tab[:n, :m] = a.T / scale
+    tab[:n, m : m + n] = np.eye(n)
+    tab[:n, -1] = 1.0
+    tab[n, :m] = -1.0
+    basis = np.arange(m, m + n)
+    # Bland's rule ends in at most C(m + n, n) pivots; far fewer in practice
+    for _ in range(100 * (m + n)):
+        entering = np.flatnonzero(tab[n, :-1] < -GAME_PIVOT_TOL)
+        if entering.size == 0:
+            break
+        j = entering[0]
+        rows = np.flatnonzero(tab[:n, j] > GAME_PIVOT_TOL)
+        if rows.size == 0:
+            raise ConvergenceError("matrix game: the simplex method met an unbounded column")
+        ratios = tab[rows, -1] / tab[rows, j]
+        ties = rows[ratios <= ratios.min() + GAME_PIVOT_TOL]
+        i = ties[np.argmin(basis[ties])]
+        tab[i] /= tab[i, j]
+        pivot_col = tab[:, j].copy()
+        pivot_col[i] = 0.0
+        tab -= np.outer(pivot_col, tab[i])
+        basis[i] = j
+    else:
+        raise ConvergenceError("matrix game: the simplex method did not terminate")
+    z = np.zeros(m)
+    primal = basis < m
+    z[basis[primal]] = np.maximum(tab[:n, -1][primal], 0.0)
+    u = np.maximum(tab[n, m : m + n], 0.0)
+    return scale / float(tab[n, -1]), z / z.sum(), u / u.sum()
 
 
 def simplex_grid(k: int, resolution: int) -> np.ndarray:

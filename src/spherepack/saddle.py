@@ -44,6 +44,7 @@ from .probability import (
 ESP_ZERO_TOL = 1e-10  # below this the saddle is reported degenerate (rho* = 0)
 INNER_TOL = 1e-12
 INNER_MAX_ITER = 100_000
+EMPTY_DOMAIN_TOL = 1e-9  # (R_inf, C) is empty when R_inf >= C - this; C is certified to 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,11 @@ def inner_opt_q(w: Channel, rho: float, p: Distribution) -> Distribution:
 def _check_rate_domain(w: Channel, R: float) -> None:
     c, _ = capacity(w)
     rinf = r_infinity(w)
+    if rinf >= c - EMPTY_DOMAIN_TOL:
+        raise DomainError(
+            f"the rate domain (R_inf, C) is empty for this channel: R_inf = {rinf:.9g} nats"
+            f" is not below C = {c:.9g} nats by more than {EMPTY_DOMAIN_TOL:g}"
+        )
     if not (rinf < R < c):
         raise DomainError(f"rate {R} nats outside (R_inf, C) = ({rinf:.6g}, {c:.6g}) nats")
 

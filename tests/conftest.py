@@ -70,6 +70,76 @@ def random_channel(
     raise RuntimeError("could not sample a usable channel")
 
 
+def blahut_arimoto(w: Channel, sweeps: int = 100_000) -> tuple[float, float, Distribution]:
+    """Reference capacity by the Blahut-Arimoto loop that `capacity` replaced.
+
+    Uniform start, at most `sweeps` sweeps (the library used 100,000), stops
+    at a 1e-10 duality gap or an L1 step below 1e-12. Returns (lower, upper,
+    P) from the last sweep: I(P;W) <= C <= max_x D(W(.|x) || PW), whether or
+    not it converged. The library loop returned the lower end, and raised
+    ConvergenceError when upper - lower > 1e-9.
+    """
+    rows = w.rows
+    sup = w.supports
+    logw = np.where(sup, np.log(np.where(sup, rows, 1.0)), 0.0)
+    p = np.full(w.nx, 1.0 / w.nx)
+    c_lo = c_up = 0.0
+    for _ in range(sweeps):
+        q = p @ rows
+        with np.errstate(divide="ignore"):
+            logq = np.where(q > 0, np.log(np.where(q > 0, q, 1.0)), -np.inf)
+        d = np.where(sup, logw - logq[None, :], 0.0)
+        dx = (rows * d).sum(axis=1)
+        c_lo = float(p @ dx)
+        c_up = float(dx.max())
+        if c_up - c_lo <= 1e-10:
+            break
+        p_new = p * np.exp(dx - c_up)
+        p_new /= p_new.sum()
+        if np.abs(p_new - p).sum() <= 1e-12 * max(1.0, np.abs(p).sum()):
+            p = p_new
+            break
+        p = p_new
+    return c_lo, c_up, Distribution(p)
+
+
+def capacity_gap(w: Channel, p: Distribution) -> float:
+    """max_x D(W(.|x) || PW) - I(P;W) from the definition, with no zero rule
+    on the output law (+inf where W(.|x) reaches an output PW misses)."""
+    q = p.probs @ w.rows
+    div = np.zeros(w.nx)
+    for x in range(w.nx):
+        s = w.rows[x] > 0
+        div[x] = np.inf if np.any(q[s] <= 0) else float(w.rows[x, s] @ np.log(w.rows[x, s] / q[s]))
+    used = p.probs > 0
+    return float(div.max() - p.probs[used] @ div[used])
+
+
+def game_value_lp(a: np.ndarray) -> float:
+    """max_q min_x (a q)_x over distributions q, by scipy's LP solver (HiGHS),
+    independent of the library's simplex."""
+    from scipy.optimize import linprog
+
+    nx, ny = a.shape
+    res = linprog(
+        np.r_[np.zeros(ny), -1.0],
+        A_ub=np.c_[-a, np.ones(nx)],
+        b_ub=np.zeros(nx),
+        A_eq=np.r_[np.ones(ny), 0.0][None, :],
+        b_eq=[1.0],
+        bounds=[(0.0, None)] * ny + [(None, None)],
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"linprog failed: {res.message}")
+    return float(-res.fun)
+
+
+def r_infinity_lp(w: Channel) -> float:
+    """R_inf = -log max {t : Q(S_x) >= t for every input x, Q a distribution}."""
+    return float(-np.log(game_value_lp(w.supports.astype(float))))
+
+
 def random_interior_p(rng: np.random.Generator, nx: int) -> Distribution:
     return Distribution(rng.dirichlet(np.ones(nx) * 4.0))
 

@@ -227,6 +227,13 @@ class TestEspOfR:
             with pytest.raises(DomainError, match=r"outside \(R_inf, C\)"):
                 esp_of_r(z, rate)
 
+    def test_empty_domain_is_named(self):
+        # C = R_inf = log 2: input 0 is a mixture of the two noiseless inputs
+        w = Channel([[0.529, 0.471], [0.0, 1.0], [1.0, 0.0]])
+        for call in (lambda: esp_of_r(w, 0.5), lambda: saddle_point(w, 0.5, Distribution.uniform(3))):
+            with pytest.raises(DomainError, match=r"domain \(R_inf, C\) is empty"):
+                call()
+
     def test_refuses_large_alphabet(self):
         rows = np.full((7, 7), 0.02)
         np.fill_diagonal(rows, 0.88)
