@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import monotone_root
+from .numerics import monotone_root, tilt
 
 BERRY_ESSEEN_C = 30.0 / 4.0
 ATOM_MERGE_TOL = 1e-12
@@ -76,23 +76,28 @@ class FiniteSupportRV:
 
     def cgf(self, eta: float) -> float:
         """Lambda(eta) = log E[e^{eta Z}]."""
-        logits = np.log(self.probs) + eta * self.values
-        m = logits.max()
-        return float(m + np.log(np.exp(logits - m).sum()))
+        return float(tilt(np.log(self.probs), self.values, eta).log_norm[0])
 
     def cgf_prime(self, eta: float) -> float:
         """Lambda'(eta), the tilted mean."""
-        logits = np.log(self.probs) + eta * self.values
-        z = np.exp(logits - logits.max())
-        return float((z @ self.values) / z.sum())
+        return float(tilt(np.log(self.probs), self.values, eta).mean[0])
 
 
 def tilt_rv(rv: FiniteSupportRV, eta: float) -> FiniteSupportRV:
     """Exponential tilt: atom probabilities reweighted by e^{eta z}, exactly
     renormalized. The tilted mean is Lambda'(eta)."""
-    logits = np.log(rv.probs) + eta * rv.values
-    z = np.exp(logits - logits.max())
-    return FiniteSupportRV(rv.values, z / z.sum())
+    return FiniteSupportRV(rv.values, tilt(np.log(rv.probs), rv.values, eta).law[0])
+
+
+def _stacked(rvs: list[FiniteSupportRV]) -> tuple[np.ndarray, np.ndarray]:
+    """(log probs, values) of the summands as `tilt` rows, padded with -inf
+    log-masses to the largest support."""
+    logb = np.full((len(rvs), max(rv.values.size for rv in rvs)), -np.inf)
+    values = np.zeros(logb.shape)
+    for row, rv in enumerate(rvs):
+        logb[row, : rv.values.size] = np.log(rv.probs)
+        values[row, : rv.values.size] = rv.values
+    return logb, values
 
 
 @dataclass(frozen=True)
@@ -129,9 +134,10 @@ def solve_eta(
     if not rvs:
         raise DomainError("need at least one random variable")
     n = len(rvs)
+    logb, values = _stacked(rvs)
 
     def mean_tilted(eta: float) -> float:
-        return sum(rv.cgf_prime(eta) for rv in rvs) / n
+        return float(tilt(logb, values, eta).mean.sum()) / n
 
     m0 = mean_tilted(0.0)
     if q <= m0 + 1e-15:
@@ -154,16 +160,10 @@ def slb_bound(
     """Sharp lower bound on P((1/n) sum Z_i >= q) with explicit constants."""
     n = len(rvs)
     eta = solve_eta(rvs, q, eta_cap=eta_cap)
-    m2n = 0.0
-    m3n = 0.0
-    cgf_sum = 0.0
-    for rv in rvs:
-        tilted = tilt_rv(rv, eta)
-        mu = tilted.mean()
-        cen = tilted.values - mu
-        m2n += float(tilted.probs @ cen**2)
-        m3n += float(tilted.probs @ np.abs(cen) ** 3)
-        cgf_sum += rv.cgf(eta)
+    tilted = tilt(*_stacked(rvs), eta)
+    m2n = float(tilted.var.sum())
+    m3n = float(tilted.m3.sum())
+    cgf_sum = float(tilted.log_norm.sum())
     kn = 2.0 * np.sqrt(2.0 * np.pi) * berry_esseen_c * m3n / m2n
     lambda_star = q * eta - cgf_sum / n
     condition_ok = bool(np.sqrt(m2n) >= 1.0 + (1.0 + kn) ** 2)

@@ -38,6 +38,7 @@ from .saddle import ESP_ZERO_TOL, esp_of_r, esp_value, rho_star_r, saddle_point
 from .shifted import ShiftedContext, cumulants, fenchel0, shifted_context, tilde_esp
 
 BERRY_ESSEEN_C = 30.0 / 4.0
+LAM_POINTS = 65  # lambda-grid points over H for the cumulant extrema
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def _grid_compositions(w: Channel, R: float, nu: float, resolution: int) -> list
     return kept
 
 
-def constants(w: Channel, R: float, nu: float, resolution: int = 64, lam_points: int = 65) -> ConstantsLedger:
+def constants(w: Channel, R: float, nu: float, resolution: int = 64) -> ConstantsLedger:
     """Grid extrema over H x {P : E_SP(R,P) >= nu} with local refinement."""
     _, a, L, epsilon = select_nu(w, R, resolution)
     esp_r, _ = esp_of_r(w, R, resolution)
@@ -184,7 +185,7 @@ def constants(w: Channel, R: float, nu: float, resolution: int = 64, lam_points:
     f_const = refine_max(lambda arr: f_term(Distribution(arr)), comps[i], vals_f[i])
 
     h_lo = (nu / (2.0 * upsilon)) / (1.0 + nu / (2.0 * upsilon))
-    lams = np.linspace(h_lo, 1.0, lam_points)
+    lams = np.linspace(h_lo, 1.0, LAM_POINTS)
 
     m_hi = v_hi = -math.inf
     v_lo = math.inf
@@ -209,8 +210,8 @@ def constants(w: Channel, R: float, nu: float, resolution: int = 64, lam_points:
             val = c.m03 / c.d2 if field == "ratio" else c.d2
             return sign * val
 
-        lo = max(h_lo, lam0 - 2.0 / lam_points)
-        hi = min(1.0, lam0 + 2.0 / lam_points)
+        lo = max(h_lo, lam0 - 2.0 / LAM_POINTS)
+        hi = min(1.0, lam0 + 2.0 / LAM_POINTS)
         _, best, _ = golden_max(g, lo, hi, width=1e-8)
         return sign * best
 

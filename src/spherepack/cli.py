@@ -30,7 +30,7 @@ from .errors import ConfigError, DomainError, SpherepackError
 from .nptest import np_alpha_for_composition
 from .numerics import monotone_root, refine_simplex_max, simplex_grid, strictly_increasing
 from .probability import Channel, Distribution, capacity, load_channel, r_infinity
-from .saddle import esp_of_r, rho_star_r, saddle_point
+from .saddle import ESP_ZERO_TOL, esp_of_r, rho_star_r, saddle_point
 from .shifted import esp_q_primal
 
 CSV_SCHEMA = "# spherepack-csv v1"
@@ -149,6 +149,8 @@ def cmd_exponent(args: argparse.Namespace) -> int:
         if not (rinf < r < c):
             return [r, "", "", "", "out-of-domain"]
         value, argmax = esp_of_r(w, r, cfg.resolution)
+        if value <= ESP_ZERO_TOL:  # rho*_R is undefined where E_SP(R) vanishes
+            return [r, value, "", "", "degenerate"]
         rho = rho_star_r(w, r, cfg.resolution)
         pstr = ";".join("|".join(_fmt(float(v)) for v in p.probs) for p in argmax)
         return [r, value, rho, pstr, "ok"]

@@ -1,13 +1,16 @@
-"""Small deterministic numeric search utilities shared across modules.
+"""Small deterministic numeric kernels shared across modules.
 
-Everything here is dependency-light and purely functional: golden-section
-maximization on a bracket, a bracketed Brent-Dekker root finder for
-monotone functions, simplex grids, a coordinate-ascent refiner over the
-probability simplex, and an exact simplex-method solve of small matrix games.
+Everything here is dependency-light and purely functional: the log-domain
+exponential tilt of finite laws (`tilt`, the one place that exponentiates
+and normalizes a log-linear combination), golden-section maximization on a
+bracket, a bracketed Brent-Dekker root finder for monotone functions,
+simplex grids, a coordinate-ascent refiner over the probability simplex,
+and an exact simplex-method solve of small matrix games.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable
 
@@ -19,8 +22,64 @@ INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - np.sqrt(5.0)) / 2.0  # 1/phi^2
 ROOT_XTOL = 1e-14  # relative width of the final root bracket
 ROOT_MAX_ITER = 500
+GOLDEN_MAX_ITER = 500
 _EPS = float(np.finfo(float).eps)
 GAME_PIVOT_TOL = 1e-12  # tableau entries this close to 0 count as 0
+
+
+@dataclass(frozen=True)
+class Tilted:
+    """Per-row results of one exponential tilt (see `tilt`).
+
+    law[i] is row i's tilted law (exactly 0 off its support); log_norm,
+    mean, var and m3 are per-row arrays: log Z, and the tilted mean,
+    variance and third absolute central moment of the statistic.
+    """
+
+    log_norm: np.ndarray
+    law: np.ndarray
+    mean: np.ndarray
+    var: np.ndarray
+    m3: np.ndarray
+
+
+def tilt(logb: np.ndarray, t: np.ndarray, lam: float) -> Tilted:
+    """Exponential tilt of finite laws by a statistic, in the log domain.
+
+    logb is a (rows, outcomes) array of base log-masses, -inf off each
+    row's support (which must be non-empty), and t the statistic on the
+    same grid (its entries off the support are ignored). Row i's tilted law
+    is proportional to exp(logb[i] + lam t[i]) and its log-normalizer is
+    log Z_i = log sum exp(logb[i] + lam t[i]) for any finite real lam; a
+    1-d logb is one row. The base need not be normalized. Pure numpy, one
+    vectorized pass, and no floating-point warning: every exponent is
+    shifted by its row maximum, and off-support entries are masked before
+    they meet lam.
+    """
+    logb = np.atleast_2d(logb)
+    on = logb > -np.inf
+    ts = np.where(on, np.atleast_2d(t), 0.0)
+    logits = logb + lam * ts
+    top = logits.max(axis=1)
+    z = np.exp(logits - top[:, None])
+    s = z.sum(axis=1)
+    law = z / s[:, None]
+    mean = (law * ts).sum(axis=1)
+    cen = np.abs(ts - mean[:, None])
+    var = (law * cen**2).sum(axis=1)
+    return Tilted(top + np.log(s), law, mean, var, (law * cen**3).sum(axis=1))
+
+
+def log_path(base: np.ndarray, other: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `tilt` inputs (log base, log(other / base)) of the geometric path
+    base^(1-lam) other^lam, restricted to the mask `on` (-inf and 0 off it).
+
+    base and other broadcast to on.shape and are positive wherever on is set.
+    """
+    logb = np.log(base, out=np.zeros(on.shape), where=on)
+    t = np.log(other, out=np.zeros(on.shape), where=on) - logb
+    logb[~on] = -np.inf
+    return logb, t
 
 
 def golden_max(
@@ -28,13 +87,12 @@ def golden_max(
     lo: float,
     hi: float,
     width: float = 1e-10,
-    max_iter: int = 500,
 ) -> tuple[float, float, tuple[float, float]]:
     """Maximize a unimodal f on [lo, hi] by golden-section search.
 
     Returns (x_star, f(x_star), final_bracket). Deterministic; shrinks the
-    bracket below `width` (or exhausts max_iter, which for sane brackets
-    never happens before the width stop).
+    bracket below `width` (or exhausts GOLDEN_MAX_ITER, which for sane
+    brackets never happens before the width stop).
     """
     a, b = float(lo), float(hi)
     h = b - a
@@ -44,7 +102,7 @@ def golden_max(
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_MAX_ITER):
         if h <= width:
             break
         if fc >= fd:

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AlphabetMismatchError, ConfigError, ConvergenceError, DomainError
-from .numerics import matrix_game, monotone_root
+from .numerics import log_path, matrix_game, monotone_root, tilt
 
 ZERO_TOL = 1e-14
 SUM_TOL = 1e-12
@@ -258,22 +258,6 @@ def mutual_information(p: Distribution, v: Channel) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _tilt_row_raw(w_row: np.ndarray, q: np.ndarray, lam: float) -> np.ndarray:
-    """Normalized w^(1-lam) q^lam computed in the log domain.
-
-    Invariant under rescaling of q. Entries off S(w) or S(q) are exactly 0.
-    """
-    common = (w_row > ZERO_TOL) & (q > ZERO_TOL)
-    if not common.any():
-        raise DomainError("tilt undefined: disjoint supports (zero normalizer)")
-    logt = (1.0 - lam) * np.log(w_row[common]) + lam * np.log(q[common])
-    logt -= logt.max()
-    t = np.exp(logt)
-    out = np.zeros_like(w_row)
-    out[common] = t / t.sum()
-    return out
-
-
 def tilted_channel_row(w_row: Distribution, q: Distribution, lam: float) -> Distribution:
     """The tilted row: proportional to w(y)^(1-lam) q(y)^lam on the common support.
 
@@ -284,7 +268,10 @@ def tilted_channel_row(w_row: Distribution, q: Distribution, lam: float) -> Dist
     _check_same_alphabet(w_row, q)
     if not (0.0 < lam < 1.0):
         raise DomainError(f"tilt parameter must lie in (0,1), got {lam}")
-    return Distribution(_tilt_row_raw(w_row.probs, q.probs, lam))
+    common = w_row.support & q.support
+    if not common.any():
+        raise DomainError("tilt undefined: disjoint supports (zero normalizer)")
+    return Distribution(tilt(*log_path(w_row.probs, q.probs, common), lam).law[0])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from math import comb
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .numerics import monotone_root, refine_simplex_max, simplex_grid
+from .numerics import log_path, monotone_root, refine_simplex_max, simplex_grid, tilt
 from .probability import (
     ZERO_TOL,
     Channel,
@@ -73,16 +73,11 @@ def lambda_qp(w: Channel, q: Distribution, p: Distribution, lam: float) -> float
         raise DomainError(f"lambda must lie in [0,1), got {lam}")
     if lam == 0.0:
         return 0.0
-    total = 0.0
-    qp = q.probs
-    for x in np.flatnonzero(p.support):
-        common = (w.rows[x] > ZERO_TOL) & (qp > ZERO_TOL)
-        if not common.any():
-            return float("-inf")
-        terms = (1.0 - lam) * np.log(w.rows[x][common]) + lam * np.log(qp[common])
-        m = terms.max()
-        total += p.probs[x] * (m + np.log(np.exp(terms - m).sum()))
-    return total
+    rows, weights = _active_parts(w, p)
+    common = (rows > ZERO_TOL) & (q.probs > ZERO_TOL)
+    if not common.any(axis=1).all():
+        return float("-inf")
+    return float(weights @ tilt(*log_path(rows, q.probs, common), lam).log_norm)
 
 
 def k_rp(w: Channel, rho: float, q: Distribution, R: float, p: Distribution) -> float:
@@ -222,41 +217,36 @@ def esp_value(w: Channel, R: float, p: Distribution) -> float:
     return saddle_point(w, R, p).value
 
 
-def esp_primal_oracle(
-    w: Channel,
-    R: float,
-    p: Distribution,
-    grid_points: int = 24,
-    bisect_tol: float = 1e-11,
-) -> float:
+ORACLE_GRID_POINTS = 24  # rho-grid points of the primal oracle's feasibility scan
+
+
+def esp_primal_oracle(w: Channel, R: float, p: Distribution) -> float:
     """Primal solution of min { D(V||W|P) : I(P;V) <= R }.
 
     Traces the tilted-channel path V_rho (rows Wtilde_{rho/(1+rho), Q_rho})
     evaluating the true objective and the true constraint at each point:
-    a rho-grid locates the feasibility boundary, bisection on rho refines it.
-    Serves as the independent check of `saddle_point.value`.
+    a rho-grid locates the feasibility boundary, a Brent-Dekker root of the
+    constraint slack on rho refines it. Serves as the independent check of
+    `saddle_point.value`.
     """
     _check_rate_domain(w, R)
-    if R >= mutual_information(p, w):
+    slack0 = R - mutual_information(p, w)  # the slack at rho = 0, where V = W
+    if slack0 >= 0:
         return 0.0
 
     sup = p.support
+    used = w.rows[sup]
 
     def v_of(rho: float) -> Channel:
-        q = inner_opt_q(w, rho, p)
-        lam = rho / (1.0 + rho)
+        q = inner_opt_q(w, rho, p).probs
         rows = w.rows.copy()
-        for x in np.flatnonzero(sup):
-            common = (w.rows[x] > ZERO_TOL) & (q.probs > ZERO_TOL)
-            terms = np.zeros(w.ny)
-            vals = (1.0 - lam) * np.log(w.rows[x][common]) + lam * np.log(q.probs[common])
-            vals = np.exp(vals - vals.max())
-            terms[common] = vals / vals.sum()
-            rows[x] = terms
+        common = (used > ZERO_TOL) & (q > ZERO_TOL)
+        rows[sup] = tilt(*log_path(used, q, common), rho / (1.0 + rho)).law
         return Channel(rows)
 
     def slack(rho: float) -> float:
-        return R - mutual_information(p, v_of(rho))
+        # inner_opt_q rejects rho = 0, so the known slack there is used
+        return slack0 if rho == 0.0 else R - mutual_information(p, v_of(rho))
 
     # doubling until the constraint becomes feasible
     hi = 1.0
@@ -269,21 +259,13 @@ def esp_primal_oracle(
     lo = 0.0 if hi == 1.0 else hi / 2.0
 
     best = float("inf")
-    for rho in np.linspace(lo, hi, grid_points)[1:]:
+    for rho in np.linspace(lo, hi, ORACLE_GRID_POINTS)[1:]:
         v = v_of(float(rho))
         if mutual_information(p, v) <= R:
             best = min(best, conditional_kl(v, w, p))
 
-    # bisection on the constraint boundary: slack is negative below, positive above
-    a, b = lo, hi
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if slack(m) < 0:
-            a = m
-        else:
-            b = m
-        if b - a <= bisect_tol * max(1.0, b):
-            break
+    # the slack increases along the path, so the bracket's upper end is feasible
+    _, (_, b) = monotone_root(slack, lo, hi)
     v = v_of(b)
     if mutual_information(p, v) <= R:
         best = min(best, conditional_kl(v, w, p))

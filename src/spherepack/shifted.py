@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .numerics import golden_max, monotone_root, simplex_grid
+from .numerics import golden_max, log_path, monotone_root, simplex_grid, tilt
 from .probability import (
     ZERO_TOL,
     Channel,
@@ -81,17 +81,12 @@ class ShiftedContext:
             raise InvariantViolationError(
                 f"r(R,P) = {self.r} <= 0; upstream saddle computation failed"
             )
-        # per active input letter: log W, log-likelihood ratio t = log(W^-/W)
-        self._xs = np.flatnonzero(p.support)
-        self._wx = p.probs[self._xs]
-        self._logw = []
-        self._t = []
-        for x in self._xs:
-            mask = w.rows[x] > ZERO_TOL
-            lw = np.log(w.rows[x][mask])
-            lwm = np.log(self.w_minus.rows[x][mask])
-            self._logw.append(lw)
-            self._t.append(lwm - lw)
+        # per active input letter, padded to |Y| on the row supports `_on`:
+        # log W (-inf off S(W(.|x))) and the log-likelihood ratio t = log(W^-/W)
+        xs = np.flatnonzero(p.support)
+        self._wx = p.probs[xs]
+        self._on = w.rows[xs] > ZERO_TOL
+        self._logw, self._t = log_path(w.rows[xs], self.w_minus.rows[xs], self._on)
 
     # -- divergences between W and W^- ------------------------------------
     @property
@@ -106,9 +101,13 @@ class ShiftedContext:
 
     def gradient_range(self) -> tuple[float, float]:
         """Closure limits of Lambda0' over all real tilts."""
-        gmin = sum(wx * t.min() for wx, t in zip(self._wx, self._t))
-        gmax = sum(wx * t.max() for wx, t in zip(self._wx, self._t))
-        return float(gmin), float(gmax)
+        return float(self._wx @ self._t_ext(False)), float(self._wx @ self._t_ext(True))
+
+    def _t_ext(self, upper: bool) -> np.ndarray:
+        """Per active letter, the largest (upper) or smallest t on the row support."""
+        if upper:
+            return np.where(self._on, self._t, -np.inf).max(axis=1)
+        return np.where(self._on, self._t, np.inf).min(axis=1)
 
 
 def _w_minus_from_saddle(w: Channel, p: Distribution, sp: SaddlePoint) -> Channel:
@@ -153,25 +152,15 @@ def r_of(w: Channel, R: float, p: Distribution) -> float:
 def cumulants(ctx: ShiftedContext, lam: float) -> CumulantPair:
     """Lambda0(lam), Lambda0'(lam), Lambda0''(lam) and m03(lam, P) by exact
     finite sums under the tilted laws; valid for any real lam."""
-    l0 = 0.0
-    d1 = 0.0
-    d2 = 0.0
-    m3 = 0.0
-    for wx, lw, t in zip(ctx._wx, ctx._logw, ctx._t):
-        logits = lw + lam * t
-        m = logits.max()
-        z = np.exp(logits - m)
-        s = z.sum()
-        probs = z / s
-        l0x = m + np.log(s)
-        mean = float(probs @ t)
-        cen = t - mean
-        var = float(probs @ cen**2)
-        l0 += wx * l0x
-        d1 += wx * mean
-        d2 += wx * var
-        m3 += wx * float(probs @ np.abs(cen) ** 3)
-    return CumulantPair(lam=float(lam), lambda0=float(l0), d1=float(d1), d2=float(d2), m03=float(m3))
+    k = tilt(ctx._logw, ctx._t, lam)
+    wx = ctx._wx
+    return CumulantPair(
+        lam=float(lam),
+        lambda0=float(wx @ k.log_norm),
+        d1=float(wx @ k.mean),
+        d2=float(wx @ k.var),
+        m03=float(wx @ k.m3),
+    )
 
 
 def lambda0(ctx: ShiftedContext, lam: float) -> float:
@@ -249,12 +238,9 @@ def tilde_esp(ctx: ShiftedContext, r: float) -> ShiftedExponent:
 def _boundary_value(ctx: ShiftedContext, upper: bool) -> float:
     # lim lam -> +-inf of lam z - Lambda0(lam) at z equal to the gradient-range
     # endpoint: -sum_x P(x) log W{argmax/argmin of t | x}
-    total = 0.0
-    for wx, lw, t in zip(ctx._wx, ctx._logw, ctx._t):
-        t_ext = t.max() if upper else t.min()
-        mass = np.exp(lw[np.abs(t - t_ext) <= 1e-12]).sum()
-        total -= wx * np.log(mass)
-    return total
+    at_ext = ctx._on & (np.abs(ctx._t - ctx._t_ext(upper)[:, None]) <= 1e-12)
+    mass = np.where(at_ext, np.exp(ctx._logw), 0.0).sum(axis=1)
+    return float(-(ctx._wx @ np.log(mass)))
 
 
 def fenchel0(ctx: ShiftedContext, z: float) -> float:
@@ -301,30 +287,33 @@ def fenchel1(ctx: ShiftedContext, z: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_budget_min(
-    w_row: np.ndarray, q: np.ndarray, budget: float, tol: float = 1e-14
-) -> float:
+def _path_point(logw: np.ndarray, t: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, (D(v_u || q), D(v_u || w)) on the geometric path
+    v_u ~ w^{1-u} q^u, from the `log_path` inputs logw and t = log(q/w).
+
+    log v_u = log w + u t - log Z, so both divergences are affine in the
+    tilted mean of t and the tilted law is never logged.
+    """
+    k = tilt(logw, t, u)
+    return (u - 1.0) * k.mean - k.log_norm, u * k.mean - k.log_norm
+
+
+def _row_budget_min(w_row: np.ndarray, q: np.ndarray, budget: float) -> float:
     """Exact min of D(v || w_row) over v with D(v || q) <= budget.
 
     v must live on T = S(w_row) & S(q). The minimizer follows the geometric
     path v_u ~ w^{1-u} q^u on T, whose q-divergence decreases continuously
-    from D(w|T || q) at u=0 to -log q{T} at u=1; bisection on u hits the
-    budget exactly. Returns +inf when even v = q|T exceeds the budget.
+    from D(w|T || q) at u=0 to -log q{T} at u=1; a Brent-Dekker root on u
+    hits the budget. Returns +inf when even v = q|T exceeds the budget.
     """
     T = (w_row > ZERO_TOL) & (q > ZERO_TOL)
     if not T.any():
         return float("inf")
-    lw = np.log(w_row[T])
-    lq = np.log(q[T])
+    logw, t = log_path(w_row, q, T)
 
     def point(u: float) -> tuple[float, float]:
-        logits = (1.0 - u) * lw + u * lq
-        m = logits.max()
-        zv = np.exp(logits - m)
-        v = zv / zv.sum()
-        d_q = float(v @ (np.log(v) - lq))
-        d_w = float(v @ (np.log(v) - lw))
-        return d_q, d_w
+        d_q, d_w = _path_point(logw, t, u)
+        return float(d_q[0]), float(d_w[0])
 
     t_min, h_at_tmin = point(1.0)
     if budget < t_min - 1e-13:
@@ -334,17 +323,14 @@ def _row_budget_min(
     b0, d0 = point(0.0)
     if budget >= b0:
         return d0
-    a, b = 0.0, 1.0
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        if point(m)[0] > budget:
-            a = m
-        else:
-            b = m
-    return point(0.5 * (a + b))[1]
+    u, _ = monotone_root(lambda u: point(u)[0] - budget, 0.0, 1.0)
+    return point(u)[1]
 
 
-def _row_curve_grid(w_row: np.ndarray, q: np.ndarray, resolution: int = 80) -> np.ndarray:
+ROW_GRID_RESOLUTION = 80  # simplex-grid resolution of the seeding row staircase
+
+
+def _row_curve_grid(w_row: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
     """Simplex-grid samples of one row's (D(v||q), D(v||w)) trade-off,
     reduced to the Pareto staircase. Used to seed (and in tests to verify)
     the exact row solver."""
@@ -371,7 +357,6 @@ def esp_q_primal(
     q: Distribution,
     p: Distribution,
     r: float,
-    row_resolution: int = 80,
 ) -> float:
     """Primal value of inf { D(V||W|P) : D(V||Q|P) <= r }.
 
@@ -386,29 +371,16 @@ def esp_q_primal(
         raise DomainError("budget must be non-negative")
     xs = np.flatnonzero(p.support)
     weights = p.probs[xs]
-    rows = [w.rows[x] for x in xs]
+    rows = w.rows[xs]
     qp = q.probs
-
-    infos = []
-    for row in rows:
-        T = (row > ZERO_TOL) & (qp > ZERO_TOL)
-        if not T.any():
-            return float("inf")
-        lw = np.log(row[T])
-        lq = np.log(qp[T])
-        # budget floor (v = q|T) and unconstrained corner (v = w|T)
-        vq = np.exp(lq - lq.max())
-        vq /= vq.sum()
-        t_min = float(vq @ (np.log(vq) - lq))
-        vw = np.exp(lw - lw.max())
-        vw /= vw.sum()
-        b0 = float(vw @ (np.log(vw) - lq))
-        d0 = float(vw @ (np.log(vw) - lw))
-        infos.append((row, t_min, b0, d0))
-
-    t_floor = np.array([i[1] for i in infos])
-    t_corner = np.array([max(i[2], i[1]) for i in infos])
-    d_corner = np.array([i[3] for i in infos])
+    common = (rows > ZERO_TOL) & (qp > ZERO_TOL)
+    if not common.any(axis=1).all():
+        return float("inf")
+    # budget floor (v = q|T, u = 1) and unconstrained corner (v = w|T, u = 0)
+    logw, llr = log_path(rows, qp, common)
+    t_floor, d_floor = _path_point(logw, llr, 1.0)
+    b0, d_corner = _path_point(logw, llr, 0.0)
+    t_corner = np.maximum(b0, t_floor)
 
     if float(weights @ t_corner) <= r:
         return float(weights @ d_corner)
@@ -416,12 +388,10 @@ def esp_q_primal(
     if floor_total > r + 1e-12:
         return float("inf")
     if floor_total >= r - 1e-15:
-        return float(
-            sum(wx * _row_budget_min(row, qp, tf) for wx, (row, tf, _, _) in zip(weights, infos))
-        )
+        return float(weights @ d_floor)
 
     def h(i: int, t: float) -> float:
-        return _row_budget_min(infos[i][0], qp, t)
+        return _row_budget_min(rows[i], qp, t)
 
     def objective(ts: np.ndarray) -> float:
         return float(sum(wx * h(i, t) for i, (wx, t) in enumerate(zip(weights, ts))))
@@ -431,12 +401,9 @@ def esp_q_primal(
     ts = t_floor + theta * (t_corner - t_floor)
 
     # seed from the first row's simplex-grid staircase when cheap
-    k = len(infos)
-    small_supports = all(
-        int(((row > ZERO_TOL) & (qp > ZERO_TOL)).sum()) <= 3 for row, *_ in infos
-    )
-    if k == 2 and small_supports:
-        curve = _row_curve_grid(infos[0][0], qp, row_resolution)
+    k = len(xs)
+    if k == 2 and common.sum(axis=1).max() <= 3:
+        curve = _row_curve_grid(rows[0], qp, ROW_GRID_RESOLUTION)
         best_seed = objective(ts)
         for t0 in curve[:: max(1, len(curve) // 64), 0]:
             t1 = (r - weights[0] * t0) / weights[1]

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import spherepack
@@ -22,3 +25,13 @@ def test_readme_entry_points_are_exported():
 def test_all_names_resolve():
     assert len(set(spherepack.__all__)) == len(spherepack.__all__)
     assert [n for n in spherepack.__all__ if not hasattr(spherepack, n)] == []
+
+
+def test_import_loads_no_scipy_optimize():
+    # importing the library stays cheap: its root finder, tilt kernel and
+    # matrix-game solver are numpy only
+    src = str(Path(spherepack.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, spherepack; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -85,6 +85,31 @@ class TestSolveEta:
 
 
 class TestSlbBound:
+    def test_mixed_support_sizes_match_per_variable_sums(self):
+        # summands built from channel rows as the NP tests build them: the
+        # log-likelihood ratio under each row, on supports of 3, 2 and 1 atoms
+        w = np.array([[0.6, 0.3, 0.1], [0.0, 0.45, 0.55], [0.0, 0.0, 1.0]])
+        q = np.array([0.3, 0.3, 0.4])
+        per_row = []
+        for row in w:
+            mask = row > 0
+            per_row.append(FiniteSupportRV(np.log(row[mask] / q[mask]), row[mask]))
+        rvs = [per_row[0]] * 4 + [per_row[1]] * 3 + [per_row[2]] * 2
+        n = len(rvs)
+        q_level = sum(rv.cgf_prime(0.6) for rv in rvs) / n
+        rep = slb_bound(rvs, q_level, berry_esseen_c=0.1)
+        assert rep.eta == pytest.approx(0.6, abs=1e-12)
+        m2n = m3n = cgf_sum = 0.0
+        for rv in rvs:
+            tilted = tilt_rv(rv, rep.eta)
+            cen = np.abs(tilted.values - tilted.mean())
+            m2n += float(tilted.probs @ cen**2)
+            m3n += float(tilted.probs @ cen**3)
+            cgf_sum += rv.cgf(rep.eta)
+        assert rep.m2n == pytest.approx(m2n, rel=1e-13)
+        assert rep.m3n == pytest.approx(m3n, rel=1e-13)
+        assert rep.lambda_star == pytest.approx(q_level * rep.eta - cgf_sum / n, abs=1e-13)
+
     def test_condition_fails_at_small_n(self):
         rep = slb_bound([bernoulli(0.3)] * 5, 0.5)
         assert not rep.condition_ok

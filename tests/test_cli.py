@@ -62,6 +62,30 @@ class TestExponentCommand:
         assert rows[0][header.index("status")] == "ok"
         assert rows[1][header.index("status")] == "out-of-domain"
 
+    def test_vanishing_exponent_row_flagged_degenerate(self, bsc_file, tmp_path):
+        # C(BSC(0.1)) = 0.368064207 nats: 0.36806 is inside (R_inf, C), but
+        # E_SP(R) vanishes there on the resolution-16 grid, so rho*_R is undefined
+        rc = main(
+            ["exponent", "--channel", bsc_file, "--R", "0.2,0.36806",
+             "--resolution", "16", "--out", str(tmp_path / "mixed")]
+        )
+        assert rc == 0
+        header, rows = read_rows(tmp_path / "mixed" / "exponent.csv")
+        assert rows[0][header.index("status")] == "ok"
+        degenerate = dict(zip(header, rows[1]))
+        assert degenerate["status"] == "degenerate"
+        assert float(degenerate["esp"]) <= 1e-10
+        assert degenerate["rho_star"] == degenerate["argmax_P"] == ""
+        # the ok row is byte-identical to a run of that rate alone
+        rc = main(
+            ["exponent", "--channel", bsc_file, "--R", "0.2",
+             "--resolution", "16", "--out", str(tmp_path / "alone")]
+        )
+        assert rc == 0
+        alone = (tmp_path / "alone" / "exponent.csv").read_text().splitlines()
+        mixed = (tmp_path / "mixed" / "exponent.csv").read_text().splitlines()
+        assert mixed[:-1] == alone
+
     def test_byte_identical_reruns(self, bsc_file, tmp_path):
         outs = []
         for name in ("a", "b"):

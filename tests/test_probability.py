@@ -26,7 +26,7 @@ from spherepack.probability import (
     r_infinity,
     tilted_channel_row,
 )
-from spherepack.probability import _tilt_row_raw
+from spherepack.numerics import log_path, tilt
 
 from .conftest import (
     blahut_arimoto,
@@ -224,9 +224,11 @@ class TestTiltedRow:
         rng = np.random.default_rng(17)
         w = rng.dirichlet([2, 2, 2])
         q = rng.dirichlet([2, 2, 2])
-        a = _tilt_row_raw(w, q, lam)
-        b = _tilt_row_raw(w, q * scale, lam)
-        assert np.abs(a - b).max() < 1e-12
+        on = (w > 0) & (q > 0)
+        a = tilt(*log_path(w, q, on), lam)
+        b = tilt(*log_path(w, q * scale, on), lam)
+        assert np.abs(a.law - b.law).max() < 1e-12
+        assert b.log_norm[0] - a.log_norm[0] == pytest.approx(lam * np.log(scale), abs=1e-12)
 
 
 class TestCapacity:
