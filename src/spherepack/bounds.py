@@ -153,12 +153,17 @@ def constants(w: Channel, R: float, nu: float, resolution: int = 64) -> Constant
         except DomainError:
             return False
 
-    def refine_max(objective, p0, v0):
+    def grid_max(objective) -> float:
+        # the largest value on `comps`, refined by coordinate ascent that
+        # stays in {P : E_SP(R,P) >= nu}
+        vals = [objective(p) for p in comps]
+        i = int(np.argmax(vals))
         step = 1.0 / resolution
-        p_ref, v_ref = refine_simplex_max(
-            objective, p0.probs, v0, step0=step, min_step=step / 64.0, feasible=feasible
+        _, v_ref = refine_simplex_max(
+            lambda arr: objective(Distribution(arr)), comps[i].probs, vals[i],
+            step0=step, min_step=step / 64.0, feasible=feasible,
         )
-        return max(v0, v_ref)
+        return max(vals[i], v_ref)
 
     def d_w_qstar(p: Distribution) -> float:
         sp = saddle_point(w, R, p)
@@ -170,19 +175,11 @@ def constants(w: Channel, R: float, nu: float, resolution: int = 64) -> Constant
     def f_term(p: Distribution) -> float:
         return shifted_context(w, R, p).d_wminus_w
 
-    vals_ups = [d_w_qstar(p) for p in comps]
-    i = int(np.argmax(vals_ups))
-    upsilon = refine_max(lambda arr: d_w_qstar(Distribution(arr)), comps[i], vals_ups[i])
-
-    vals_d = [d_wm_qstar(p) for p in comps]
-    i = int(np.argmax(vals_d))
-    delta = R - refine_max(lambda arr: d_wm_qstar(Distribution(arr)), comps[i], vals_d[i])
+    upsilon = grid_max(d_w_qstar)
+    delta = R - grid_max(d_wm_qstar)
     if delta <= 0:
         raise InvariantViolationError("delta(R,nu,W) must be positive (positivity of r)")
-
-    vals_f = [f_term(p) for p in comps]
-    i = int(np.argmax(vals_f))
-    f_const = refine_max(lambda arr: f_term(Distribution(arr)), comps[i], vals_f[i])
+    f_const = grid_max(f_term)
 
     h_lo = (nu / (2.0 * upsilon)) / (1.0 + nu / (2.0 * upsilon))
     lams = np.linspace(h_lo, 1.0, LAM_POINTS)

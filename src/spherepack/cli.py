@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +28,10 @@ from scipy.special import gammaln
 from .bounds import constants_ledger, refined_bound
 from .errors import ConfigError, DomainError, SpherepackError
 from .nptest import np_alpha_for_composition
-from .numerics import monotone_root, refine_simplex_max, simplex_grid, strictly_increasing
+from .numerics import monotone_root, strictly_increasing
 from .probability import Channel, Distribution, capacity, load_channel, r_infinity
 from .saddle import ESP_ZERO_TOL, esp_of_r, rho_star_r, saddle_point
-from .shifted import esp_q_primal
+from .shifted import esp_q_dual
 
 CSV_SCHEMA = "# spherepack-csv v1"
 
@@ -47,7 +47,6 @@ class StudyConfig:
     out_dir: str | None
     resolution: int = 64
     np_cap: int = 200
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.r_grid and not strictly_increasing(self.r_grid):
@@ -327,19 +326,26 @@ def cmd_bsc_study(args: argparse.Namespace) -> int:
 def gap_study_row(w: Channel, rate: float, resolution: int = 64) -> tuple[float, float, Distribution]:
     """(E_SP(R), max_P e_SP(Q_fixed, P, R), P*_R) for the fixed output law
     Q*_{R, P*_R} (optimal-composition output law: rate-dependent but
-    composition-independent, the adopted reading of the classical study)."""
+    composition-independent, the adopted reading of the classical study).
+
+    `resolution` is the simplex grid of `esp_of_r`. e_SP(Q_fixed, P, R) is a
+    supremum of functions affine in P, so convex, and finite on the polytope
+    {P : sum_x P(x) t_x <= R}, t_x = -log Q_fixed(S(W(.|x))); its maximum is
+    at a vertex: a letter with t_x <= R, or the point where sum_x P(x) t_x = R
+    on an edge (e_i, e_j) with t_i < R < t_j. `esp_q_dual` scores each.
+    """
     esp_r, argmax = esp_of_r(w, rate, resolution)
     p_star = argmax[0]
     q_fixed = saddle_point(w, rate, p_star).q_star
-
-    def objective(arr: np.ndarray) -> float:
-        val = esp_q_primal(w, q_fixed, Distribution(arr), rate)
-        return val if np.isfinite(val) else -np.inf
-
-    grid = simplex_grid(w.nx, resolution)
-    vals = [objective(g) for g in grid]
-    i0 = int(np.argmax(vals))
-    _, best = refine_simplex_max(objective, grid[i0], vals[i0], step0=1.0 / resolution, min_step=1e-7)
+    with np.errstate(divide="ignore"):  # t_x = +inf when S(W(.|x)) misses S(Q_fixed)
+        t = -np.log(np.where(w.supports, q_fixed.probs, 0.0).sum(axis=1))
+    eye = np.eye(w.nx)
+    vertices = [eye[x] for x in range(w.nx) if t[x] <= rate]
+    for i in np.flatnonzero(t < rate):
+        for j in np.flatnonzero((t > rate) & np.isfinite(t)):
+            theta = (t[j] - rate) / (t[j] - t[i])
+            vertices.append(theta * eye[i] + (1.0 - theta) * eye[j])
+    best = max(esp_q_dual(w, q_fixed, Distribution(v), rate) for v in vertices)
     return esp_r, float(best), p_star
 
 
@@ -364,10 +370,8 @@ def cmd_zchannel_study(args: argparse.Namespace) -> int:
             if not (0.0 < rate < c):
                 rows.append([q, rate, "", "", "", "out-of-domain"])
                 continue
-            esp_r, best, p_star = gap_study_row(w, rate, cfg.resolution)
-            rows.append(
-                [q, rate, esp_r, best, best - esp_r, "ok"]
-            )
+            esp_r, best, _ = gap_study_row(w, rate, cfg.resolution)
+            rows.append([q, rate, esp_r, best, best - esp_r, "ok"])
     _write_csv(
         _out_path(cfg.out_dir, "zchannel_study.csv"),
         [

@@ -217,16 +217,14 @@ def esp_value(w: Channel, R: float, p: Distribution) -> float:
     return saddle_point(w, R, p).value
 
 
-ORACLE_GRID_POINTS = 24  # rho-grid points of the primal oracle's feasibility scan
-
-
 def esp_primal_oracle(w: Channel, R: float, p: Distribution) -> float:
     """Primal solution of min { D(V||W|P) : I(P;V) <= R }.
 
-    Traces the tilted-channel path V_rho (rows Wtilde_{rho/(1+rho), Q_rho})
-    evaluating the true objective and the true constraint at each point:
-    a rho-grid locates the feasibility boundary, a Brent-Dekker root of the
-    constraint slack on rho refines it. Serves as the independent check of
+    Traces the tilted-channel path V_rho (rows Wtilde_{rho/(1+rho), Q_rho}),
+    along which the objective D(V_rho||W|P) and the constraint slack
+    R - I(P;V_rho) both rise: a Brent-Dekker root of the slack on rho finds
+    the feasibility boundary, and the true objective is evaluated at the
+    bracket's feasible end. Serves as the independent check of
     `saddle_point.value`.
     """
     _check_rate_domain(w, R)
@@ -258,35 +256,20 @@ def esp_primal_oracle(w: Channel, R: float, p: Distribution) -> float:
         raise ConvergenceError("primal oracle found no feasible tilt")
     lo = 0.0 if hi == 1.0 else hi / 2.0
 
-    best = float("inf")
-    for rho in np.linspace(lo, hi, ORACLE_GRID_POINTS)[1:]:
-        v = v_of(float(rho))
-        if mutual_information(p, v) <= R:
-            best = min(best, conditional_kl(v, w, p))
-
     # the slack increases along the path, so the bracket's upper end is feasible
     _, (_, b) = monotone_root(slack, lo, hi)
     v = v_of(b)
-    if mutual_information(p, v) <= R:
-        best = min(best, conditional_kl(v, w, p))
-    return best
+    return conditional_kl(v, w, p) if mutual_information(p, v) <= R else float("inf")
 
 
 _GRID_POINT_CAP = 300_000
 
 
 @lru_cache(maxsize=4096)
-def _esp_of_r_cached(
-    w: Channel, R: float, resolution: int, refine: bool
-) -> tuple[float, tuple[Distribution, ...]]:
+def _esp_of_r_cached(w: Channel, R: float, resolution: int) -> tuple[float, tuple[Distribution, ...]]:
     grid = simplex_grid(w.nx, resolution)
     vals = np.array([esp_value(w, R, Distribution(g)) for g in grid])
-    vmax = float(vals.max())
-    cand_idx = np.flatnonzero(vals >= vmax - 1e-8)
-
-    if not refine:
-        argmax = tuple(Distribution(grid[i]) for i in cand_idx)
-        return vmax, argmax
+    cand_idx = np.flatnonzero(vals >= float(vals.max()) - 1e-8)
 
     def objective(arr: np.ndarray) -> float:
         return esp_value(w, R, Distribution(arr))
@@ -307,9 +290,7 @@ def _esp_of_r_cached(
     return float(best), tuple(Distribution(k) for k in keep)
 
 
-def esp_of_r(
-    w: Channel, R: float, resolution: int = 64, refine: bool = True
-) -> tuple[float, list[Distribution]]:
+def esp_of_r(w: Channel, R: float, resolution: int = 64) -> tuple[float, list[Distribution]]:
     """E_SP(R) = max_P E_SP(R,P) with the set of maximizing compositions.
 
     Simplex grid (default 1/64 per coordinate) plus coordinate-ascent
@@ -325,7 +306,7 @@ def esp_of_r(
         raise DomainError("input alphabet too large for the simplex grid; use a coarser resolution")
     if comb(resolution + w.nx - 1, w.nx - 1) > _GRID_POINT_CAP:
         raise DomainError("simplex grid too large; use a coarser resolution")
-    value, argmax = _esp_of_r_cached(w, R, resolution, refine)
+    value, argmax = _esp_of_r_cached(w, R, resolution)
     return value, list(argmax)
 
 

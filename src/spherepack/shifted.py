@@ -14,10 +14,13 @@ The per-letter log-likelihood ratio t = log(W^-/W) drives everything else:
   Lambda0*(z)  = sup_lam { lam z - Lambda0(lam) }          (solved via Lambda0' = z).
 
 All evaluations are exact finite sums; the lam = 1 endpoint is literally the
-W^- law, no limits needed numerically. `esp_q_primal` is the independent
-primal oracle for inf { D(V||W|P) : D(V||Q|P) <= r }: exact row-level
-solves combined through a convex budget allocation, seeded by per-row
-simplex-grid scans and refined by coordinate descent.
+W^- law, no limits needed numerically.
+
+The same dual solves e_SP(Q,P,r) = inf { D(V||W|P) : D(V||Q|P) <= r } for an
+arbitrary output law Q (`esp_q_dual`): a `ShiftedContext` built from Q in
+place of Q*, over the rows of W conditioned on S(Q). `esp_q_primal` is its
+independent primal oracle: exact row-level solves combined through a convex
+budget allocation by pairwise golden-section transfers.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .numerics import golden_max, log_path, monotone_root, simplex_grid, tilt
+from .numerics import golden_max, log_path, monotone_root, tilt
 from .probability import (
     ZERO_TOL,
     Channel,
@@ -63,21 +66,35 @@ class ShiftedExponent:
 class ShiftedContext:
     """Everything derived from one non-degenerate saddle point (R, P).
 
+    Given an output law q positive on every used row support, W^- is built
+    from q in place of Q*: no saddle is solved (`saddle` is None) and
+    r = R - D(W^-||q|P) may take either sign.
+
     Immutable after construction; operations on it are pure functions.
     """
 
-    def __init__(self, w: Channel, R: float, p: Distribution):
-        sp = saddle_point(w, R, p)
-        if sp.degenerate:
-            raise DomainError("shifted machinery needs E_SP(R,P) > 0 (non-degenerate saddle)")
+    def __init__(self, w: Channel, R: float, p: Distribution, q: Distribution | None = None):
+        self.saddle: SaddlePoint | None = None
+        if q is None:
+            sp = saddle_point(w, R, p)
+            if sp.degenerate:
+                raise DomainError("shifted machinery needs E_SP(R,P) > 0 (non-degenerate saddle)")
+            self.saddle, q = sp, sp.q_star
+            for x in np.flatnonzero(p.support):
+                if np.any(q.probs[w.rows[x] > ZERO_TOL] == 0.0):
+                    # the true Q* is positive on every used row support; a zero
+                    # is Q*(y) decaying below the 1e-14 zero rule at large rho*
+                    raise InvariantViolationError(
+                        f"Q* underflows to 0 (below {ZERO_TOL:g}) on the support of used input {x} "
+                        f"(rho* = {sp.rho_star:.6g}); the rate is too close to R_inf for W^-"
+                    )
         self.channel = w
         self.R = float(R)
         self.P = p
-        self.saddle: SaddlePoint = sp
-        self.w_minus: Channel = _w_minus_from_saddle(w, p, sp)
-        self.d_wm_qstar = float(_d_wminus_qstar(w, p, sp.q_star))
+        self.w_minus: Channel = _w_minus(w, p, q)
+        self.d_wm_qstar = float(_d_wminus_qstar(w, p, q))
         self.r = self.R - self.d_wm_qstar
-        if self.r <= 0:
+        if self.saddle is not None and self.r <= 0:
             raise InvariantViolationError(
                 f"r(R,P) = {self.r} <= 0; upstream saddle computation failed"
             )
@@ -110,19 +127,11 @@ class ShiftedContext:
         return np.where(self._on, self._t, np.inf).min(axis=1)
 
 
-def _w_minus_from_saddle(w: Channel, p: Distribution, sp: SaddlePoint) -> Channel:
-    q = sp.q_star.probs
+def _w_minus(w: Channel, p: Distribution, q: Distribution) -> Channel:
     rows = w.rows.copy()
     for x in np.flatnonzero(p.support):
         mask = w.rows[x] > ZERO_TOL
-        if np.any(q[mask] == 0.0):
-            # the true Q* is positive on every used row support; a zero is
-            # Q*(y) decaying below the 1e-14 zero rule at large rho*
-            raise InvariantViolationError(
-                f"Q* underflows to 0 (below {ZERO_TOL:g}) on the support of used input {x} "
-                f"(rho* = {sp.rho_star:.6g}); the rate is too close to R_inf for W^-"
-            )
-        rows[x] = np.where(mask, q, 0.0) / q[mask].sum()
+        rows[x] = np.where(mask, q.probs, 0.0) / q.probs[mask].sum()
     return Channel(rows)
 
 
@@ -136,11 +145,9 @@ def _d_wminus_qstar(w: Channel, p: Distribution, q_star: Distribution) -> float:
 
 def w_minus(w: Channel, R: float, p: Distribution) -> Channel:
     """The support-reduced output channel W^-_{R,P} (rows of Q* renormalized
-    on each used row support; untouched W rows off S(P))."""
-    sp = saddle_point(w, R, p)
-    if sp.degenerate:
-        raise DomainError("W^- undefined on the degenerate branch (E_SP = 0)")
-    return _w_minus_from_saddle(w, p, sp)
+    on each used row support; untouched W rows off S(P)); DomainError on the
+    degenerate branch (E_SP = 0)."""
+    return shifted_context(w, R, p).w_minus
 
 
 def r_of(w: Channel, R: float, p: Distribution) -> float:
@@ -283,8 +290,36 @@ def fenchel1(ctx: ShiftedContext, z: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the Def.-1 primal grid oracle: inf { D(V||W|P) : D(V||Q|P) <= r }
+# e_SP(Q,P,r) = inf { D(V||W|P) : D(V||Q|P) <= r }: the dual and its primal oracle
 # ---------------------------------------------------------------------------
+
+
+def esp_q_dual(w: Channel, q: Distribution, p: Distribution, r: float) -> float:
+    """e_SP(Q,P,r) = inf { D(V||W|P) : D(V||Q|P) <= r } by the shifted dual.
+
+    V(.|x) lives on T_x = S(W(.|x)) & S(Q); conditioning each used row on T_x
+    adds -sum_x P(x) log W(T_x|x). With t_x = -log Q(T_x), D(V||Q|P) =
+    D(V||W^-_Q|P) + sum_x P(x) t_x, so the value is `tilde_esp` of the context
+    built from Q and the conditioned rows, at the budget r - sum_x P(x) t_x:
+    D(W^-_Q||W|P) at budget 0, +inf below it or when some used T_x is empty.
+    """
+    if r < 0:
+        raise DomainError("budget must be non-negative")
+    xs = np.flatnonzero(p.support)
+    common = (w.rows[xs] > ZERO_TOL) & (q.probs > ZERO_TOL)
+    if not common.any(axis=1).all():
+        return float("inf")
+    on_t = np.where(common, w.rows[xs], 0.0)
+    mass = on_t.sum(axis=1)  # W(T_x|x)
+    rows = w.rows.copy()
+    rows[xs] = on_t / mass[:, None]
+    ctx = ShiftedContext(Channel(rows), r, p, q)
+    const = -float(p.probs[xs] @ np.log(mass))
+    if ctx.r < -1e-12:
+        return float("inf")
+    if ctx.r <= 1e-15:
+        return const + ctx.d_wminus_w
+    return const + tilde_esp(ctx, ctx.r).value
 
 
 def _path_point(logw: np.ndarray, t: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
@@ -327,31 +362,6 @@ def _row_budget_min(w_row: np.ndarray, q: np.ndarray, budget: float) -> float:
     return point(u)[1]
 
 
-ROW_GRID_RESOLUTION = 80  # simplex-grid resolution of the seeding row staircase
-
-
-def _row_curve_grid(w_row: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
-    """Simplex-grid samples of one row's (D(v||q), D(v||w)) trade-off,
-    reduced to the Pareto staircase. Used to seed (and in tests to verify)
-    the exact row solver."""
-    T = (w_row > ZERO_TOL) & (q > ZERO_TOL)
-    k = int(T.sum())
-    if k == 0:
-        return np.zeros((0, 2))
-    pts = simplex_grid(k, resolution)
-    pts = pts[np.all(pts > 0, axis=1)]  # interior points have finite divergences
-    lw = np.log(w_row[T])
-    lq = np.log(q[T])
-    logs = np.log(pts)
-    d_q = np.einsum("ij,ij->i", pts, logs - lq[None, :])
-    d_w = np.einsum("ij,ij->i", pts, logs - lw[None, :])
-    order = np.argsort(d_q)
-    d_q, d_w = d_q[order], d_w[order]
-    # value at budget t = min over all points with d_q <= t: prefix minimum
-    best = np.minimum.accumulate(d_w)
-    return np.column_stack([d_q, best])
-
-
 def esp_q_primal(
     w: Channel,
     q: Distribution,
@@ -364,8 +374,8 @@ def esp_q_primal(
     budget, the objective is sum_x P(x) h_x(t_x) where each h_x is the exact
     convex row value function (solved to machine precision). The allocation
     over { sum P(x) t_x = r } is itself convex and is minimized by pairwise
-    budget transfers with golden-section line searches, seeded for small
-    alphabets by the per-row simplex-grid staircases.
+    budget transfers with golden-section line searches from the point where
+    every row takes the same share of the way from floor to corner.
     """
     if r < 0:
         raise DomainError("budget must be non-negative")
@@ -400,21 +410,8 @@ def esp_q_primal(
     theta = (r - floor_total) / float(weights @ (t_corner - t_floor))
     ts = t_floor + theta * (t_corner - t_floor)
 
-    # seed from the first row's simplex-grid staircase when cheap
-    k = len(xs)
-    if k == 2 and common.sum(axis=1).max() <= 3:
-        curve = _row_curve_grid(rows[0], qp, ROW_GRID_RESOLUTION)
-        best_seed = objective(ts)
-        for t0 in curve[:: max(1, len(curve) // 64), 0]:
-            t1 = (r - weights[0] * t0) / weights[1]
-            if t0 < t_floor[0] - 1e-12 or t1 < t_floor[1] - 1e-12:
-                continue
-            cand = np.array([max(t0, t_floor[0]), max(t1, t_floor[1])])
-            val = objective(cand)
-            if val < best_seed:
-                ts, best_seed = cand, val
-
     best = objective(ts)
+    k = len(xs)
     if k == 1:
         return best
     for _ in range(200):

@@ -206,6 +206,7 @@ def test_criterion_8_prefactor_order(bsc01, uniform2):
 
 def test_criterion_9_zchannel_gap_study(zchannel03, bsc01):
     with criterion(9, "Z-channel fixed-output-law gap > 1e-4 on >= 6 of 8 rates; BSC control <= 1e-6"):
+        start = time.monotonic()
         rates = np.linspace(0.04, 0.32, 8)
         hits = 0
         for rate in rates:
@@ -216,6 +217,8 @@ def test_criterion_9_zchannel_gap_study(zchannel03, bsc01):
         for rate in (0.1, 0.2, 0.3):
             esp_b, best_b, _ = gap_study_row(bsc01, rate)
             assert abs(best_b - esp_b) <= 1e-6
+        elapsed = time.monotonic() - start
+        assert elapsed <= 30.0, f"criterion 9 runtime {elapsed:.1f}s exceeds 30s"
 
 
 def test_criterion_10_positivity_and_eta_range():

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from spherepack.cli import bsc_study_rows, gap_study_row, main
-from spherepack.probability import Channel
+from spherepack.numerics import simplex_grid
+from spherepack.probability import Channel, Distribution
+from spherepack.saddle import saddle_point
+from spherepack.shifted import esp_q_dual
 
-from .conftest import bsc_esp_closed_form
+from .conftest import bsc_esp_closed_form, interior_rate, random_channel
 
 
 @pytest.fixture()
@@ -193,14 +196,32 @@ class TestBscStudyCommand:
 
 class TestZChannelStudyCommand:
     def test_gap_positive_for_z_and_zero_for_bsc(self):
-        # a coarse-resolution sweep for speed; the acceptance test runs the
-        # full-resolution version
+        # resolution 24 is the grid esp_of_r searches for P*_R; the acceptance
+        # test runs the default resolution 64
         z = Channel([[1.0, 0.0], [0.3, 0.7]])
         esp_r, best, _ = gap_study_row(z, 0.2, resolution=24)
         assert best - esp_r > 1e-3
         b = Channel([[0.9, 0.1], [0.1, 0.9]])
         esp_b, best_b, _ = gap_study_row(b, 0.2, resolution=24)
         assert abs(best_b - esp_b) <= 1e-6
+
+    def test_exact_gap_where_the_grid_fell_short(self):
+        # a simplex grid with coordinate ascent reported 0.04918 here; the
+        # maximum over P is 0.056897
+        z = Channel([[1.0, 0.0], [0.3, 0.7]])
+        esp_r, best, _ = gap_study_row(z, 0.08, resolution=24)
+        assert best - esp_r >= 0.0568
+
+    def test_vertex_maximum_dominates_the_simplex_grid(self):
+        rng = np.random.default_rng(2718)
+        for k in range(4):
+            nx = 2 + k % 2
+            w = random_channel(rng, nx, 2 + k // 2, sparse=True)
+            rate = interior_rate(w, 0.4)
+            _, best, p_star = gap_study_row(w, rate, resolution=16)
+            q = saddle_point(w, rate, p_star).q_star
+            vals = [esp_q_dual(w, q, Distribution(g), rate) for g in simplex_grid(nx, 32)]
+            assert best >= max(v for v in vals if np.isfinite(v)) - 1e-12
 
     def test_command_output(self, tmp_path):
         out = tmp_path / "run"

@@ -4,6 +4,7 @@ import pytest
 from spherepack.errors import DomainError, InvariantViolationError
 from spherepack.numerics import golden_max, simplex_grid
 from spherepack.probability import (
+    ZERO_TOL,
     Channel,
     Distribution,
     capacity,
@@ -16,9 +17,9 @@ from spherepack.saddle import k_rp, saddle_point
 from spherepack.shifted import (
     ShiftedContext,
     _row_budget_min,
-    _row_curve_grid,
     cumulants,
     e0,
+    esp_q_dual,
     esp_q_primal,
     fenchel0,
     fenchel1,
@@ -192,7 +193,7 @@ class TestTildeEsp:
             tilde_esp(ctx, 0.0)
 
     def test_shift_identity_against_primal_oracle(self):
-        # etilde(R,P, r - D(W-||Q*|P)) == e_SP(Q*,P,r), primal grid oracle side
+        # etilde(R,P, r - D(W-||Q*|P)) == e_SP(Q*,P,r), primal oracle side
         rng = np.random.default_rng(47)
         for k in range(4):
             w, rate, p = nondegenerate_instance(rng, 2, 3, sparse=(k % 2 == 0))
@@ -201,6 +202,7 @@ class TestTildeEsp:
             lhs = tilde_esp(ctx, r - ctx.d_wm_qstar).value
             rhs = esp_q_primal(w, ctx.saddle.q_star, p, r)
             assert lhs == pytest.approx(rhs, abs=1e-6)
+            assert esp_q_dual(w, ctx.saddle.q_star, p, r) == pytest.approx(lhs, abs=1e-12)
 
     def test_monotone_nonincreasing_in_budget(self, zchannel03):
         ctx = shifted_context(zchannel03, 0.15, Distribution([0.4, 0.6]))
@@ -261,6 +263,20 @@ class TestFenchel:
         assert np.isfinite(fenchel0(ctx, gmax))
 
 
+def _row_curve_grid(w_row: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
+    """Simplex-grid samples of one row's (D(v||q), D(v||w)) trade-off,
+    reduced to the Pareto staircase."""
+    T = (w_row > ZERO_TOL) & (q > ZERO_TOL)
+    pts = simplex_grid(int(T.sum()), resolution)
+    pts = pts[np.all(pts > 0, axis=1)]  # interior points have finite divergences
+    logs = np.log(pts)
+    d_q = np.einsum("ij,ij->i", pts, logs - np.log(q[T])[None, :])
+    d_w = np.einsum("ij,ij->i", pts, logs - np.log(w_row[T])[None, :])
+    order = np.argsort(d_q)
+    # value at budget t = min over all points with d_q <= t: prefix minimum
+    return np.column_stack([d_q[order], np.minimum.accumulate(d_w[order])])
+
+
 class TestEspQPrimalOracle:
     def test_row_solver_matches_row_grid(self):
         rng = np.random.default_rng(67)
@@ -313,8 +329,51 @@ class TestEspQPrimalOracle:
         q = Distribution([0.5, 0.5])
         p = Distribution([0.5, 0.5])
         # q-mass of each row support is 1/2: minimum possible D(V||Q|P) is log 2
-        assert esp_q_primal(w, q, p, 0.5 * np.log(2) - 0.05) == np.inf
-        assert esp_q_primal(w, q, p, np.log(2) + 0.05) == pytest.approx(0.0, abs=1e-12)
+        for esp_q in (esp_q_primal, esp_q_dual):
+            assert esp_q(w, q, p, 0.5 * np.log(2) - 0.05) == np.inf
+            assert esp_q(w, q, p, np.log(2) + 0.05) == pytest.approx(0.0, abs=1e-12)
+            # Q misses the whole support of a used row
+            assert esp_q(w, Distribution([1.0, 0.0]), p, 5.0) == np.inf
+
+
+class TestEspQDual:
+    def test_matches_primal_oracle_on_random_instances(self):
+        # sparse W, Q with zeros on used row supports, P on the budget
+        # hyperplane sum_x P(x) t_x = r, and infeasible budgets
+        rng = np.random.default_rng(2027)
+        hit = {"q_zero_on_support": 0, "hyperplane": 0, "infeasible": 0, "interior": 0}
+        for k in range(60):
+            nx, ny = 2 + k % 3, int(rng.integers(2, 5))
+            rows = rng.dirichlet(np.ones(ny) * 2.0, size=nx)
+            mask = rng.random((nx, ny)) < 0.3
+            mask[np.arange(nx), rows.argmax(axis=1)] = False
+            rows = np.where(mask, 0.0, rows)
+            w = Channel(rows / rows.sum(axis=1, keepdims=True))
+            q = rng.dirichlet(np.ones(ny) * 2.0)
+            if k % 3 == 0:
+                q[rng.integers(ny)] = 0.0
+            q = Distribution(q / q.sum())
+            p = Distribution(rng.dirichlet(np.ones(nx) * 2.0))
+            used = w.supports[p.support]
+            hit["q_zero_on_support"] += bool((used & (q.probs == 0.0)).any())
+            with np.errstate(divide="ignore"):
+                floor = float(-(p.probs[p.support] @ np.log((used * q.probs).sum(axis=1))))
+            case = k % 4
+            if not np.isfinite(floor):
+                r = float(rng.uniform(0.0, 1.0))
+            elif case == 0:
+                r, hit["hyperplane"] = floor, hit["hyperplane"] + 1
+            elif case == 1 and floor > 0.0:
+                r, hit["infeasible"] = 0.5 * floor, hit["infeasible"] + 1
+            else:
+                r, hit["interior"] = floor + float(rng.uniform(0.0, 0.5)), hit["interior"] + 1
+            primal = esp_q_primal(w, q, p, r)
+            dual = esp_q_dual(w, q, p, r)
+            if np.isinf(primal):
+                assert dual == np.inf
+            else:
+                assert abs(dual - primal) <= 1e-12, (k, dual, primal)
+        assert min(hit.values()) >= 5, hit
 
 
 class TestExponentEquality:
