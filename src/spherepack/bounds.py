@@ -12,9 +12,10 @@ code with composition P splits into branches:
   all hold (reports carry every condition; a failed one flags the row as
   invalid-N but the formula value is still shown).
 
-Constants: nu <= min{a-1, eps/2, E_SP(R)(2-a)/(a(2L+1))} with a = 1.5 and a
-numerically estimated Lipschitz bound L; Upsilon, M_hi, V_hi, V_lo are grid
-extrema over H x {P : E_SP(R,P) >= nu} with local refinement;
+Constants: nu <= min{a-1, eps/2, E_SP(R)(2-a)/(a(2L+1))} with a = 1.5 and
+the exact Lipschitz constant L = rho*_{R-eps} of the convex, decreasing
+E_SP(.) on [R-eps, R]; Upsilon, M_hi, V_hi, V_lo are grid extrema over
+H x {P : E_SP(R,P) >= nu} with local refinement;
 K_max = 2 sqrt(2 pi) (30/4) M_hi and K = exp(-K_max) / (2 sqrt(2 pi V_hi)).
 
 Exponent cross-check: the main-branch exponent is computed through the
@@ -113,9 +114,9 @@ class LagrangeReport:
 def select_nu(w: Channel, R: float, resolution: int = 64) -> tuple[float, float, float, float]:
     """(nu, a, L, epsilon) per the composition-split recipe.
 
-    a = 1.5 (midpoint of (1,2)); L is the max finite-difference slope
-    magnitude of E_SP(.) over a 33-point grid of [R - eps, R] times a 1.25
-    safety factor; nu takes 0.9 of the smallest of the three caps.
+    a = 1.5 (midpoint of (1,2)); E_SP(.) is convex and decreasing, so its
+    Lipschitz constant on [R - eps, R] is the slope magnitude at the left
+    end, L = rho*_{R - eps}; nu takes 0.9 of the smallest of the three caps.
     """
     from .probability import r_infinity
 
@@ -124,10 +125,7 @@ def select_nu(w: Channel, R: float, resolution: int = 64) -> tuple[float, float,
         raise DomainError("E_SP(R) vanishes; no nu can be selected")
     epsilon = (R - r_infinity(w)) / 2.0
     a = 1.5
-    rates = np.linspace(R - epsilon, R, 33)
-    values = [esp_of_r(w, float(ri), resolution)[0] for ri in rates]
-    slopes = np.abs(np.diff(values)) / np.diff(rates)
-    L = 1.25 * float(slopes.max())
+    L = rho_star_r(w, R - epsilon, resolution)
     nu = 0.9 * min(a - 1.0, epsilon / 2.0, esp_r * (2.0 - a) / (a * (2.0 * L + 1.0)))
     return nu, a, L, epsilon
 

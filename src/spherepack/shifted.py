@@ -19,8 +19,9 @@ W^- law, no limits needed numerically.
 The same dual solves e_SP(Q,P,r) = inf { D(V||W|P) : D(V||Q|P) <= r } for an
 arbitrary output law Q (`esp_q_dual`): a `ShiftedContext` built from Q in
 place of Q*, over the rows of W conditioned on S(Q). `esp_q_primal` is its
-independent primal oracle: exact row-level solves combined through a convex
-budget allocation by pairwise golden-section transfers.
+independent primal oracle: every used row takes one common tilt
+V_u ~ W^(1-u) Q^u, whose feasible value bounds e_SP from above while the dual
+bounds it from below (weak duality), so their agreement certifies both.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, InvariantViolationError
-from .numerics import golden_max, log_path, monotone_root, tilt
+from .numerics import log_path, monotone_root, tilt
 from .probability import (
     ZERO_TOL,
     Channel,
     Distribution,
     conditional_kl,
+    divergence_to_output,
 )
 from .saddle import SaddlePoint, saddle_point
 
@@ -322,130 +324,46 @@ def esp_q_dual(w: Channel, q: Distribution, p: Distribution, r: float) -> float:
     return const + tilde_esp(ctx, ctx.r).value
 
 
-def _path_point(logw: np.ndarray, t: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, (D(v_u || q), D(v_u || w)) on the geometric path
-    v_u ~ w^{1-u} q^u, from the `log_path` inputs logw and t = log(q/w).
-
-    log v_u = log w + u t - log Z, so both divergences are affine in the
-    tilted mean of t and the tilted law is never logged.
-    """
-    k = tilt(logw, t, u)
-    return (u - 1.0) * k.mean - k.log_norm, u * k.mean - k.log_norm
-
-
-def _row_budget_min(w_row: np.ndarray, q: np.ndarray, budget: float) -> float:
-    """Exact min of D(v || w_row) over v with D(v || q) <= budget.
-
-    v must live on T = S(w_row) & S(q). The minimizer follows the geometric
-    path v_u ~ w^{1-u} q^u on T, whose q-divergence decreases continuously
-    from D(w|T || q) at u=0 to -log q{T} at u=1; a Brent-Dekker root on u
-    hits the budget. Returns +inf when even v = q|T exceeds the budget.
-    """
-    T = (w_row > ZERO_TOL) & (q > ZERO_TOL)
-    if not T.any():
-        return float("inf")
-    logw, t = log_path(w_row, q, T)
-
-    def point(u: float) -> tuple[float, float]:
-        d_q, d_w = _path_point(logw, t, u)
-        return float(d_q[0]), float(d_w[0])
-
-    t_min, h_at_tmin = point(1.0)
-    if budget < t_min - 1e-13:
-        return float("inf")
-    if budget <= t_min + 1e-15:
-        return h_at_tmin
-    b0, d0 = point(0.0)
-    if budget >= b0:
-        return d0
-    u, _ = monotone_root(lambda u: point(u)[0] - budget, 0.0, 1.0)
-    return point(u)[1]
-
-
-def esp_q_primal(
-    w: Channel,
-    q: Distribution,
-    p: Distribution,
-    r: float,
-) -> float:
+def esp_q_primal(w: Channel, q: Distribution, p: Distribution, r: float) -> float:
     """Primal value of inf { D(V||W|P) : D(V||Q|P) <= r }.
 
-    Decomposes across input letters: with t_x the per-row share of the
-    budget, the objective is sum_x P(x) h_x(t_x) where each h_x is the exact
-    convex row value function (solved to machine precision). The allocation
-    over { sum P(x) t_x = r } is itself convex and is minimized by pairwise
-    budget transfers with golden-section line searches from the point where
-    every row takes the same share of the way from floor to corner.
+    Every used row takes one common tilt V_u(.|x) ~ W(.|x)^(1-u) Q^u on
+    T_x = S(W(.|x)) & S(Q), the common Lagrange slope of the problem. The
+    slack r - D(V_u||Q|P) rises in u, so a Brent-Dekker root on u meets the
+    budget, and the value is D(V||W|P) at the bracket's feasible end, checked
+    feasible on the explicit channel: an upper bound, independent of the
+    `esp_q_dual` lower bound. Budgets within 1e-12 below to 1e-15 above the
+    floor -sum_x P(x) log Q(T_x) take u = 1; +inf further below it or when
+    some used T_x is empty.
     """
     if r < 0:
         raise DomainError("budget must be non-negative")
-    xs = np.flatnonzero(p.support)
-    weights = p.probs[xs]
-    rows = w.rows[xs]
-    qp = q.probs
-    common = (rows > ZERO_TOL) & (qp > ZERO_TOL)
+    sup = p.support
+    used = w.rows[sup]
+    common = (used > ZERO_TOL) & (q.probs > ZERO_TOL)
     if not common.any(axis=1).all():
         return float("inf")
-    # budget floor (v = q|T, u = 1) and unconstrained corner (v = w|T, u = 0)
-    logw, llr = log_path(rows, qp, common)
-    t_floor, d_floor = _path_point(logw, llr, 1.0)
-    b0, d_corner = _path_point(logw, llr, 0.0)
-    t_corner = np.maximum(b0, t_floor)
+    logw, llr = log_path(used, q.probs, common)
 
-    if float(weights @ t_corner) <= r:
-        return float(weights @ d_corner)
-    floor_total = float(weights @ t_floor)
-    if floor_total > r + 1e-12:
+    def v_of(u: float) -> Channel:
+        rows = w.rows.copy()
+        rows[sup] = tilt(logw, llr, u).law
+        return Channel(rows)
+
+    def slack(u: float) -> float:
+        return r - divergence_to_output(v_of(u), q, p)
+
+    if slack(0.0) >= 0:
+        return conditional_kl(v_of(0.0), w, p)
+    floor_slack = slack(1.0)
+    if floor_slack < -1e-12:
         return float("inf")
-    if floor_total >= r - 1e-15:
-        return float(weights @ d_floor)
-
-    def h(i: int, t: float) -> float:
-        return _row_budget_min(rows[i], qp, t)
-
-    def objective(ts: np.ndarray) -> float:
-        return float(sum(wx * h(i, t) for i, (wx, t) in enumerate(zip(weights, ts))))
-
-    # feasible start on the budget hyperplane
-    theta = (r - floor_total) / float(weights @ (t_corner - t_floor))
-    ts = t_floor + theta * (t_corner - t_floor)
-
-    best = objective(ts)
-    k = len(xs)
-    if k == 1:
-        return best
-    for _ in range(200):
-        improved = False
-        for i in range(k):
-            for j in range(i + 1, k):
-                # transfer delta of budget mass from row j to row i
-                d_lo = max(
-                    weights[i] * (t_floor[i] - ts[i]),
-                    weights[j] * (ts[j] - t_corner[j]),
-                )
-                d_hi = min(
-                    weights[i] * (t_corner[i] - ts[i]),
-                    weights[j] * (ts[j] - t_floor[j]),
-                )
-                if d_hi - d_lo <= 1e-15:
-                    continue
-
-                def line(delta: float) -> float:
-                    ti = ts[i] + delta / weights[i]
-                    tj = ts[j] - delta / weights[j]
-                    return -(weights[i] * h(i, ti) + weights[j] * h(j, tj))
-
-                delta, neg_val, _ = golden_max(line, d_lo, d_hi, width=1e-13)
-                rest = best - (weights[i] * h(i, ts[i]) + weights[j] * h(j, ts[j]))
-                cand_val = rest - neg_val
-                if cand_val < best - 1e-14:
-                    ts[i] += delta / weights[i]
-                    ts[j] -= delta / weights[j]
-                    best = cand_val
-                    improved = True
-        if not improved:
-            break
-    return best
+    if floor_slack <= 1e-15:
+        return conditional_kl(v_of(1.0), w, p)
+    # the slack increases along the path, so the bracket's upper end is feasible
+    _, (_, b) = monotone_root(slack, 0.0, 1.0)
+    v = v_of(b)
+    return conditional_kl(v, w, p) if divergence_to_output(v, q, p) <= r else float("inf")
 
 
 @lru_cache(maxsize=65536)

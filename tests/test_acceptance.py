@@ -67,8 +67,9 @@ def test_criterion_1_saddle_consistency():
 
 
 def test_criterion_2_equality_of_exponents():
-    with criterion(2, "e_SP(Q*,P,R) equals E_SP(R,P) within 1e-5 via the primal grid oracle"):
+    with criterion(2, "e_SP(Q*,P,R) equals E_SP(R,P) within 1e-5 via the primal oracle"):
         rng = np.random.default_rng(7071)
+        start = time.monotonic()
         for k in range(10):
             nx = int(rng.integers(2, 5))
             ny = int(rng.integers(2, 4))
@@ -76,11 +77,14 @@ def test_criterion_2_equality_of_exponents():
             sp = saddle_point(w, rate, p)
             prim = esp_q_primal(w, sp.q_star, p, rate)
             assert abs(prim - sp.value) <= 1e-5
+        elapsed = time.monotonic() - start
+        assert elapsed <= 30.0, f"criterion 2 runtime {elapsed:.1f}s exceeds 30s"
 
 
 def test_criterion_3_shifted_and_regularity_identities():
     with criterion(3, "shifted-exponent identity and regularity identities within 1e-6 on 20 triples"):
         rng = np.random.default_rng(424242)
+        start = time.monotonic()
         for k in range(20):
             w, rate, p = nondegenerate_instance(rng, 2 + k % 2, 2 + (k + 1) % 2 + 1)
             ctx = shifted_context(w, rate, p)
@@ -97,6 +101,8 @@ def test_criterion_3_shifted_and_regularity_identities():
             assert 0.0 < sh.eta < 1.0
             assert abs(cumulants(ctx, sh.eta).d1 - (sh.value - r)) <= 1e-6
             assert abs(sh.eta - sh.s_star / (1 + sh.s_star)) <= 1e-12
+        elapsed = time.monotonic() - start
+        assert elapsed <= 30.0, f"criterion 3 runtime {elapsed:.1f}s exceeds 30s"
 
 
 def test_criterion_4_derivative_identities():
@@ -224,6 +230,7 @@ def test_criterion_9_zchannel_gap_study(zchannel03, bsc01):
 def test_criterion_10_positivity_and_eta_range():
     with criterion(10, "r(R,P) > 0 and eta in H on a 100-instance corpus"):
         rng = np.random.default_rng(31415)
+        start = time.monotonic()
         from .conftest import interior_rate, random_channel
 
         corpus = []
@@ -246,3 +253,5 @@ def test_criterion_10_positivity_and_eta_range():
                 assert ledger.h_lo - 1e-9 <= sh.eta <= 1.0
                 checked += 1
         assert checked == 100
+        elapsed = time.monotonic() - start
+        assert elapsed <= 30.0, f"criterion 10 runtime {elapsed:.1f}s exceeds 30s"

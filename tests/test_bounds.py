@@ -15,7 +15,7 @@ from spherepack.bounds import (
 )
 from spherepack.errors import DomainError
 from spherepack.probability import Distribution, divergence_to_output, mutual_information
-from spherepack.saddle import esp_value, saddle_point
+from spherepack.saddle import esp_of_r, esp_value, rho_star_r, saddle_point
 from spherepack.shifted import shifted_context, tilde_esp
 
 from .conftest import nondegenerate_instance
@@ -31,6 +31,15 @@ class TestSelectNu:
         nu, a, L, eps = select_nu(bsc01, 0.2)
         assert nu > 0 and a == 1.5 and L > 0 and eps == pytest.approx(0.1, abs=1e-12)
         assert nu <= 0.9 * (a - 1.0)
+
+    def test_lipschitz_constant_is_the_left_end_slope(self, bsc01):
+        # E_SP is convex and decreasing: its steepest slope on [R - eps, R]
+        # is rho*_{R - eps}, which bounds every secant slope on the interval
+        _, _, L, eps = select_nu(bsc01, 0.2)
+        assert L == rho_star_r(bsc01, 0.2 - eps)
+        rates = np.linspace(0.2 - eps, 0.2, 9)
+        values = [esp_of_r(bsc01, float(ri))[0] for ri in rates]
+        assert L >= float((np.abs(np.diff(values)) / np.diff(rates)).max())
 
     def test_nu_shrinks_toward_capacity(self, bsc01):
         nu_mid, *_ = select_nu(bsc01, 0.2)

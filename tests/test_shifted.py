@@ -16,7 +16,6 @@ from spherepack.probability import (
 from spherepack.saddle import k_rp, saddle_point
 from spherepack.shifted import (
     ShiftedContext,
-    _row_budget_min,
     cumulants,
     e0,
     esp_q_dual,
@@ -283,8 +282,10 @@ class TestEspQPrimalOracle:
         w_row = rng.dirichlet([2, 2, 2])
         q = rng.dirichlet([2, 2, 2])
         curve = _row_curve_grid(w_row, q, resolution=80)
+        # one used row: the primal oracle is the row's exact solve
+        w, q_law, p = Channel([w_row, w_row]), Distribution(q), Distribution([1.0, 0.0])
         for t, d in curve[:: len(curve) // 17]:
-            exact = _row_budget_min(w_row, q, t + 1e-12)
+            exact = esp_q_primal(w, q_law, p, t + 1e-12)
             assert exact <= d + 1e-9  # the exact solver dominates every grid point
 
     def test_matches_joint_grid_brute_force(self):
