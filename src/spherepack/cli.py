@@ -328,11 +328,12 @@ def gap_study_row(w: Channel, rate: float, resolution: int = 64) -> tuple[float,
     Q*_{R, P*_R} (optimal-composition output law: rate-dependent but
     composition-independent, the adopted reading of the classical study).
 
-    `resolution` is the simplex grid of `esp_of_r`. e_SP(Q_fixed, P, R) is a
-    supremum of functions affine in P, so convex, and finite on the polytope
-    {P : sum_x P(x) t_x <= R}, t_x = -log Q_fixed(S(W(.|x))); its maximum is
-    at a vertex: a letter with t_x <= R, or the point where sum_x P(x) t_x = R
-    on an edge (e_i, e_j) with t_i < R < t_j. `esp_q_dual` scores each.
+    `resolution` is accepted and unused: `esp_of_r` needs no grid.
+    e_SP(Q_fixed, P, R) is a supremum of functions affine in P, so convex,
+    and finite on the polytope {P : sum_x P(x) t_x <= R},
+    t_x = -log Q_fixed(S(W(.|x))); its maximum is at a vertex: a letter with
+    t_x <= R, or the point where sum_x P(x) t_x = R on an edge (e_i, e_j)
+    with t_i < R < t_j. `esp_q_dual` scores each.
     """
     esp_r, argmax = esp_of_r(w, rate, resolution)
     p_star = argmax[0]
@@ -394,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("exponent", help="E_SP(R), rho*_R and maximizing compositions over a rate grid")
     p_exp.add_argument("--channel", required=True)
     p_exp.add_argument("--R", required=True, help="rate grid (comma list or start:stop:count)")
-    p_exp.add_argument("--resolution", type=int, default=64)
+    p_exp.add_argument(
+        "--resolution", type=int, default=64, help="accepted and unused: E_SP(R) needs no composition grid"
+    )
     p_exp.add_argument("--out", default=None)
     p_exp.set_defaults(func=cmd_exponent)
 
@@ -405,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--zeta", required=True, type=float)
     p_bound.add_argument("--P", required=True, help="composition, comma separated")
     p_bound.add_argument("--np-cap", type=int, default=200, help="largest N for the exact NP comparison")
-    p_bound.add_argument("--resolution", type=int, default=64)
+    p_bound.add_argument(
+        "--resolution", type=int, default=64, help="steps per unit of the constants-ledger composition grid"
+    )
     p_bound.add_argument("--out", default=None)
     p_bound.set_defaults(func=cmd_bound)
 
@@ -419,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_z = sub.add_parser("zchannel-study", help="fixed-output-law exponent gap for Z-channels")
     p_z.add_argument("--q", required=True, help="Z parameter grid")
     p_z.add_argument("--R", required=True, help="rate grid")
-    p_z.add_argument("--resolution", type=int, default=64)
+    p_z.add_argument(
+        "--resolution", type=int, default=64, help="accepted and unused: E_SP(R) needs no composition grid"
+    )
     p_z.add_argument("--out", default=None)
     p_z.set_defaults(func=cmd_zchannel_study)
     return ap

@@ -112,12 +112,17 @@ class TradeoffPoint:
 def _letter_law(null_row: Distribution, alt_row: Distribution) -> tuple[np.ndarray, np.ndarray, LD, LD]:
     if null_row.size != alt_row.size:
         raise DomainError("letter laws need matching alphabets")
-    n, a = null_row.probs, alt_row.probs
+    # a float64 row sums to 1 only to ~1e-17 (0.9 + 0.1 = 1 + 2.8e-17), and
+    # m copies of a letter multiply that drift by m: normalize and take the
+    # logs in long double, so logp and t are each rounded once
+    n, a = (np.asarray(r.probs, dtype=LD) for r in (null_row, alt_row))
+    n /= n.sum()
+    a /= a.sum()
     common = (n > ZERO_TOL) & (a > ZERO_TOL)
-    t = np.log(a[common]) - np.log(n[common])
-    logp = np.asarray(np.log(n[common]), dtype=LD)
-    null_common = np.asarray(n[common], dtype=LD).sum()
-    alt_common = np.asarray(a[common], dtype=LD).sum()
+    logp = np.log(n[common])
+    t = np.asarray(np.log(a[common]) - logp, dtype=float)
+    null_common = n[common].sum()
+    alt_common = a[common].sum()
     return t, logp, null_common, alt_common
 
 
@@ -307,7 +312,8 @@ def _budget_pass(law: LogLrLaw, r: float) -> tuple[LD, np.ndarray, np.ndarray, i
     p_alt = np.exp(law.logp_alt)
     cum_alt = np.cumsum(p_alt)
     k = int(np.searchsorted(cum_alt, budget * (LD(1.0) + LD(1e-15)), side="right"))
-    spent = cum_alt[k - 1] if k > 0 else LD(0.0)
+    # t is rounded to float64, so alt masses close to 1 only to ~1e-16 per letter
+    spent = min(cum_alt[k - 1], LD(1.0)) if k > 0 else LD(0.0)
     return budget, np.exp(law.logp_null), p_alt, k, spent
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -280,12 +281,14 @@ def tilted_channel_row(w_row: Distribution, q: Distribution, lam: float) -> Dist
 
 
 CAPACITY_GAP = 1e-10  # duality gap certified on the returned input law
-CAPACITY_MAX_STEPS = 500
-_WARM_SWEEPS = 5  # Blahut-Arimoto sweeps before the first Newton step
-# Inputs with at most this mass are moved only by BA sweeps and revivals, and
+CAPACITY_MAX_STEPS = 500  # also the step cap of the E_0 solve
+GALLAGER_GAP = 1e-12  # Frank-Wolfe gap certified on the returned E_0 maximizer
+_WARM_SWEEPS = 5  # multiplicative sweeps before the first Newton step
+# Inputs with at most this mass are moved only by sweeps and revivals, and
 # a revival gives at least this much; it is above ZERO_TOL, so it is kept.
 _LIGHT_MASS = 1e-12
 _FLAT_RTOL = 1e-12  # relative singular value below which a face direction is flat
+_BACKTRACKS = 30  # tries of a line-searched Newton step, halved each time
 
 
 def _divergences(rows: np.ndarray, logw: np.ndarray, sup: np.ndarray, p: np.ndarray):
@@ -298,24 +301,23 @@ def _divergences(rows: np.ndarray, logw: np.ndarray, sup: np.ndarray, p: np.ndar
     return q, np.where((sup & (q <= 0)).any(axis=1), np.inf, d)
 
 
-def _newton_step(rows: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, face: np.ndarray):
-    """Newton step for I(P;W) on the inputs of `face`, clipped to P >= 0.
+def _newton_step(b: np.ndarray, p: np.ndarray, d: np.ndarray, face: np.ndarray):
+    """Newton step for a concave f(P) on the inputs of `face`, clipped to P >= 0.
 
-    On the face, grad I = D - 1 and Hess I = -W diag(1/q) W^T, bordered by
-    sum dP = 0. With B = W_face diag(q^-1/2) and Z an orthonormal basis of
-    {sum v = 0}, the step is Z (Z^T B B^T Z)^-1 Z^T D, taken through the SVD
-    of Z^T B. A (near) zero singular value is a direction along which q does
-    not move, so I(P;W) is linear there: the step follows it, uphill, to the
-    boundary. An input whose mass reaches 0 leaves the face with exact 0.
+    On the face, grad f = d (up to a constant, which the step ignores) and
+    Hess f = -B B^T, bordered by sum dP = 0; for I(P;W), d = D and
+    B = W diag(q^-1/2). With Z an orthonormal basis of {sum v = 0}, the step
+    is Z (Z^T B B^T Z)^-1 Z^T d, taken through the SVD of Z^T B. A (near)
+    zero singular value is a direction along which f is linear to second
+    order: the step follows it, uphill, to the boundary. An input whose mass
+    reaches 0 leaves the face with exact 0.
     """
     ia = np.flatnonzero(face)
     k = ia.size
     if k < 2:
         return None
-    cols = q > 0
-    b = rows[np.ix_(ia, np.flatnonzero(cols))] / np.sqrt(q[cols])
     z = np.linalg.qr(np.column_stack([np.ones(k), np.eye(k)[:, : k - 1]]))[0][:, 1:]
-    u, s, _ = np.linalg.svd(z.T @ b)
+    u, s, _ = np.linalg.svd(z.T @ b[ia])
     s = np.concatenate([s, np.zeros(k - 1 - s.size)])
     flat = s <= _FLAT_RTOL * s[0]
     if flat.any():
@@ -340,21 +342,21 @@ def _newton_step(rows: np.ndarray, p: np.ndarray, q: np.ndarray, d: np.ndarray, 
     return out / out.sum()
 
 
-def _revive(rows: np.ndarray, logw: np.ndarray, sup: np.ndarray, p: np.ndarray, x: int) -> np.ndarray:
+def _revive(grad, p: np.ndarray, x: int) -> np.ndarray:
     """Move mass toward input x along P + t(e_x - P), t by exact line search.
 
-    dI/dt = sum_x' v_x' D_x'(q_t) with v = e_x - P decreases in t (I is
-    concave), so its root is found in log t on [1e-12, 1]. An input whose
-    optimal mass is below that gets 1e-12: D_x(q) is then below I(P;W), and
-    I(P;W) is at most ~1e-12 short of the line's maximum.
+    `grad(P)` is the gradient of a concave f(P), up to a positive factor and
+    an additive constant. The slope grad(P_t) . v, v = e_x - P, decreases in
+    t, so its root is found in log t on [1e-12, 1]. An input whose optimal
+    mass is below that gets 1e-12, where f is at most ~1e-12 short of the
+    line's maximum.
     """
     v = -p
     v[x] += 1.0
     moved = v != 0
 
     def slope(log_t: float) -> float:
-        _, dd = _divergences(rows, logw, sup, p + np.exp(log_t) * v)
-        return float(v[moved] @ dd[moved])
+        return float(v[moved] @ grad(p + np.exp(log_t) * v)[moved])
 
     lo = float(np.log(_LIGHT_MASS))
     if slope(0.0) >= 0:
@@ -367,66 +369,164 @@ def _revive(rows: np.ndarray, logw: np.ndarray, sup: np.ndarray, p: np.ndarray, 
     return out / out.sum()
 
 
+class _Iterate(NamedTuple):
+    """One input law of a KKT ascent (see `_kkt_ascent`) and what it needs."""
+
+    value: float  # the concave objective f at dist
+    dist: Distribution
+    d: np.ndarray  # grad f at dist, up to an additive constant
+    gap: float  # certified bound on max f - value
+    b: np.ndarray  # Hess f = -b b^T
+    sweep: np.ndarray  # the next law of a multiplicative sweep, which never decreases f
+
+
+def _kkt_ascent(
+    point, grad, p0: np.ndarray, tol: float, max_steps: int, what: str, line_search: bool
+) -> _Iterate:
+    """Maximize a concave f(P) over the simplex to a certified gap <= tol.
+
+    `point(P)` evaluates f, its gradient, Hessian factor, gap and sweep on
+    Distribution(P), so the certificate holds after the zero rule; `grad(P)`
+    is the gradient on a raw P, up to a positive factor. Five multiplicative
+    sweeps, then Newton steps on the inputs with mass, a line-searched move
+    toward the input with the largest gradient when the face is near its own
+    optimum but an input off it breaks the KKT conditions, and a sweep
+    whenever the Newton step lowers f. With `line_search`, a step that
+    lowers f is first halved toward P, 30 tries in all, and one that meets
+    the gap is taken even when rounding puts f an ulp lower. After
+    max_steps, raises ConvergenceError carrying the gap.
+    """
+    cur = point(p0)
+    for step in range(max_steps):
+        if cur.gap <= tol:
+            return cur
+        p, d = cur.dist.probs, cur.d
+        nxt = None
+        if step >= _WARM_SWEEPS:
+            used = p > 0
+            level = float(p[used] @ d[used])
+            face = p > _LIGHT_MASS
+            inside = float(d[face].max()) - level
+            rest = np.flatnonzero(~face)
+            if rest.size and float(d[rest].max()) - level > 2.0 * max(inside, 0.0):
+                nxt = point(_revive(grad, p, int(rest[np.argmax(d[rest])])))
+            else:
+                cand = _newton_step(cur.b, p, d, face)
+                for _ in range(0 if cand is None else _BACKTRACKS if line_search else 1):
+                    trial = point(cand)
+                    # near the maximum the values tie to rounding; the gap decides
+                    if trial.value >= cur.value or (line_search and trial.gap <= tol):
+                        nxt = trial
+                        break
+                    cand = 0.5 * (p + cand)
+        cur = point(cur.sweep) if nxt is None else nxt
+    raise ConvergenceError(f"{what} did not certify a {tol:g} gap in {max_steps} steps", cur.gap)
+
+
 @lru_cache(maxsize=256)
 def _capacity_cached(w: Channel) -> tuple[float, Distribution]:
     rows = w.rows
     sup = w.supports
     logw = np.where(sup, np.log(np.where(sup, rows, 1.0)), 0.0)
 
-    def point(p: np.ndarray):
-        # the certificate is taken on the Distribution that is returned,
-        # after its zero rule
+    def point(p: np.ndarray) -> _Iterate:
         dist = Distribution(p)
         q, d = _divergences(rows, logw, sup, dist.probs)
         used = dist.probs > 0
-        return float(dist.probs[used] @ d[used]), dist, q, d
+        info = float(dist.probs[used] @ d[used])
+        cols = q > 0
+        ba = dist.probs * np.exp(np.where(used, d - d[used].max(), 0.0))  # Blahut-Arimoto
+        return _Iterate(info, dist, d, float(d.max()) - info, rows[:, cols] / np.sqrt(q[cols]), ba / ba.sum())
 
-    info, dist, q, d = point(np.full(w.nx, 1.0 / w.nx))
-    for step in range(CAPACITY_MAX_STEPS):
-        if float(d.max()) - info <= CAPACITY_GAP:
-            return info, dist
-        p = dist.probs
-        nxt = None
-        if step >= _WARM_SWEEPS:
-            face = p > _LIGHT_MASS
-            inside = float(d[face].max()) - info
-            rest = np.flatnonzero(~face)
-            if rest.size and float(d[rest].max()) - info > 2.0 * max(inside, 0.0):
-                # the face is near its own optimum and a lighter input breaks KKT
-                nxt = point(_revive(rows, logw, sup, p, int(rest[np.argmax(d[rest])])))
-            else:
-                cand = _newton_step(rows, p, q, d, face)
-                if cand is not None:
-                    trial = point(cand)
-                    if trial[0] >= info:
-                        nxt = trial
-        if nxt is None:
-            # Blahut-Arimoto sweep: never decreases I(P;W)
-            used = p > 0
-            ba = p * np.exp(np.where(used, d - d[used].max(), 0.0))
-            nxt = point(ba / ba.sum())
-        info, dist, q, d = nxt
-    raise ConvergenceError(
-        f"capacity did not certify a {CAPACITY_GAP:g} duality gap in {CAPACITY_MAX_STEPS} steps",
-        float(d.max()) - info,
+    best = _kkt_ascent(
+        point,
+        lambda p: _divergences(rows, logw, sup, p)[1],
+        np.full(w.nx, 1.0 / w.nx),
+        CAPACITY_GAP,
+        CAPACITY_MAX_STEPS,
+        "capacity",
+        line_search=False,
     )
+    return best.value, best.dist
 
 
 def capacity(w: Channel) -> tuple[float, Distribution]:
     """Channel capacity C = max_P I(P;W) and a maximizing input law.
 
-    Newton's method on the KKT system: five Blahut-Arimoto sweeps from the
-    uniform law, then Newton steps on the inputs with mass (leaving an input
-    when its mass reaches 0, stepping to the boundary where the face's rows
-    are linearly dependent), a line-searched move toward the input with the
-    largest D(W(.|x)||PW) when the face is optimal but the KKT conditions
-    fail, and a Blahut-Arimoto sweep whenever a Newton step does not ascend.
-    Returns (C, P) only when the duality gap max_x D(W(.|x)||PW) - I(P;W) on
-    the returned P is at most 1e-10, so C is within 1e-10 below the true
-    capacity; otherwise, after 500 steps, raises ConvergenceError carrying
-    the gap.
+    Newton's method on the KKT system (`_kkt_ascent`): five Blahut-Arimoto
+    sweeps from the uniform law, then Newton steps on the inputs with mass
+    (grad I = D(W(.|x)||PW) - 1, Hess I = -W diag(1/PW) W^T; an input leaves
+    the face when its mass reaches 0, and the step goes to the boundary
+    where the face's rows are linearly dependent), a line-searched move
+    toward the input with the largest D(W(.|x)||PW) when the face is optimal
+    but the KKT conditions fail, and a Blahut-Arimoto sweep whenever a
+    Newton step does not ascend. Returns (C, P) only when
+    the duality gap max_x D(W(.|x)||PW) - I(P;W) on the returned P is at
+    most 1e-10, so C is within 1e-10 below the true capacity; otherwise,
+    after 500 steps, raises ConvergenceError carrying the gap.
     """
     return _capacity_cached(w)
+
+
+def _e0_parts(ws: np.ndarray, rho: float, p: np.ndarray):
+    """(log G, a, on, q, c) for G = sum_y a_y^(1+rho), a = P W^(1/(1+rho)).
+
+    `on` marks the outputs with a > 0, q = a^(1+rho) / G on them (the tilted
+    output law), and c_x = sum_y W(y|x)^(1/(1+rho)) a_y^rho / G, so that
+    dG/dP(x) = (1+rho) G c_x and sum_x P(x) c_x = 1.
+    """
+    a = p @ ws
+    on = a > 0
+    s = (1.0 + rho) * np.log(a[on])
+    top = float(s.max())
+    e = np.exp(s - top)
+    total = float(e.sum())
+    q = e / total
+    return top + np.log(total), a, on, q, ws[:, on] @ (q / a[on])
+
+
+def gallager_e0(w: Channel, rho: float, p0: np.ndarray | None = None) -> tuple[float, Distribution, float]:
+    """Gallager's E_0(rho) = max_P -log sum_y (sum_x P(x) W(y|x)^(1/(1+rho)))^(1+rho).
+
+    Returns (E_0(rho), a maximizing P, E_0'(rho)). G(P) = sum_y a_y^(1+rho)
+    is convex in P, so this is `_kkt_ascent` on -G: Arimoto's sweep
+    P <- P c^(-1/rho) (Arimoto, IEEE T-IT 1976) from p0 (default uniform),
+    then Newton steps with grad = (1 - c) / rho and Hessian factor
+    W^(1/(1+rho)) diag(q^(1/2) / a), all scaled by 1/G; rho -> 0 gives the
+    capacity iteration. Returns only when the Frank-Wolfe gap
+    -log(1 - (1+rho)(1 - min_x c_x)), a bound on E_0(rho) minus the value
+    at the returned P, is at most 1e-12, and raises ConvergenceError
+    carrying it otherwise. E_0'(rho) is the envelope derivative: the rho
+    derivative of -log G at the returned P.
+    """
+    if not rho > 0:
+        raise DomainError(f"Gallager's E_0 solve needs rho > 0, got {rho}")
+    beta = 1.0 / (1.0 + rho)
+    sup = w.supports
+    ws = np.where(sup, w.rows, 0.0) ** beta
+    wl = np.where(sup, ws * np.log(np.where(sup, w.rows, 1.0)), 0.0)
+
+    def point(p: np.ndarray) -> _Iterate:
+        dist = Distribution(p)
+        pp = dist.probs
+        log_g, a, on, q, c = _e0_parts(ws, rho, pp)
+        fw = (1.0 + rho) * (1.0 - float(c.min()))
+        gap = float(-np.log1p(-fw)) if fw < 1.0 else float("inf")
+        used = pp > 0
+        step = np.log(c, out=np.zeros_like(c), where=used) / -rho
+        ar = pp * np.exp(np.where(used, step - step[used].max(), 0.0))  # Arimoto
+        b = ws[:, on] * (np.sqrt(q) / a[on])
+        return _Iterate(-float(log_g), dist, (1.0 - c) / rho, gap, b, ar / ar.sum())
+
+    start = np.full(w.nx, 1.0 / w.nx) if p0 is None else p0
+    # at large rho whole Newton steps overshoot and Arimoto sweeps crawl
+    best = _kkt_ascent(
+        point, lambda p: -_e0_parts(ws, rho, p)[4], start, GALLAGER_GAP, CAPACITY_MAX_STEPS, "E_0",
+        line_search=True,
+    )
+    _, a, on, q, _ = _e0_parts(ws, rho, best.dist.probs)
+    slope = -float(q @ np.log(a[on])) + float((best.dist.probs @ wl)[on] @ (q / a[on])) * beta
+    return best.value, best.dist, slope
 
 
 @lru_cache(maxsize=256)

@@ -19,24 +19,30 @@ at Q_rho, then a Brent-Dekker root of g' on that bracket.
 `esp_primal_oracle` solves the primal problem min { D(V||W|P) : I(P;V) <= R }
 independently along the tilted-channel path, checking objective and
 constraint directly; it is the pre-build oracle the test suite leans on.
+
+The maximum over compositions, E_SP(R) = max_P E_SP(R,P), is taken in
+Gallager's form max_{rho >= 0} [E_0(rho) - rho R] (`esp_of_r`): a root
+solve on rho over the certified convex solve of E_0(rho) in P
+(`probability.gallager_e0`), with no grid over compositions, checked
+against `saddle_point` at the maximizer it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .numerics import log_path, monotone_root, refine_simplex_max, simplex_grid, tilt
+from .errors import ConvergenceError, DomainError, InvariantViolationError
+from .numerics import log_path, monotone_root, tilt
 from .probability import (
     ZERO_TOL,
     Channel,
     Distribution,
     capacity,
     conditional_kl,
+    gallager_e0,
     mutual_information,
     r_infinity,
 )
@@ -262,61 +268,88 @@ def esp_primal_oracle(w: Channel, R: float, p: Distribution) -> float:
     return conditional_kl(v, w, p) if mutual_information(p, v) <= R else float("inf")
 
 
-_GRID_POINT_CAP = 300_000
+ESP_CHECK_TOL = 1e-10  # E_SP(R) against the saddle value at its maximizer
+# rho*_R against the saddle's rho* there, relative above rho = 1: where rho is
+# large, E_0'' is small and a rounding of E_0' moves the root by far more
+RHO_CHECK_TOL = 1e-8
 
 
 @lru_cache(maxsize=4096)
-def _esp_of_r_cached(w: Channel, R: float, resolution: int) -> tuple[float, tuple[Distribution, ...]]:
-    grid = simplex_grid(w.nx, resolution)
-    vals = np.array([esp_value(w, R, Distribution(g)) for g in grid])
-    cand_idx = np.flatnonzero(vals >= float(vals.max()) - 1e-8)
+def _esp_of_r_cached(w: Channel, R: float) -> tuple[float, Distribution, float]:
+    c, p_cap = capacity(w)
+    solves: dict[float, tuple[float, Distribution, float]] = {}
+    p_warm = None  # the last maximizer, the next solve's start
 
-    def objective(arr: np.ndarray) -> float:
-        return esp_value(w, R, Distribution(arr))
+    def slope(rho: float) -> float:
+        # E_0'(0) = C, where E_0 needs no solve
+        nonlocal p_warm
+        if rho == 0.0:
+            return c - R
+        if rho not in solves:
+            solves[rho] = gallager_e0(w, rho, p_warm)
+            p_warm = solves[rho][1].probs
+        return solves[rho][2] - R
 
-    refined: list[tuple[np.ndarray, float]] = []
-    for i in cand_idx:
-        # 1e-6 composition steps already pin the value far below the 1e-8
-        # argmax tolerance (the maximum is quadratic in P)
-        p_ref, v_ref = refine_simplex_max(
-            objective, grid[i], float(vals[i]), step0=1.0 / resolution, min_step=1e-6
+    # E_0 is concave with E_0'(0) = C > R: double until E_0' falls below R
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        if slope(hi) < 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise ConvergenceError("outer bracket for rho*_R did not close")
+    rho, _ = monotone_root(slope, lo, hi)
+    if rho == 0.0:  # R within rounding of C: the root is the bracket's end
+        return 0.0, p_cap, 0.0
+    e0, p_star, _ = solves[rho]
+    value = max(e0 - rho * R, 0.0)  # E_SP(R) >= 0; only rounding goes below
+    sp = _saddle_cached(w, R, p_star)
+    if abs(sp.value - value) > ESP_CHECK_TOL or (
+        not sp.degenerate and abs(sp.rho_star - rho) > RHO_CHECK_TOL * max(1.0, rho)
+    ):
+        raise InvariantViolationError(
+            f"E_SP(R) = {value!r} with rho*_R = {rho!r} from E_0 disagrees with the saddle"
+            f" point at its maximizer: E_SP(R,P*) = {sp.value!r}, rho* = {sp.rho_star!r}"
         )
-        refined.append((p_ref, v_ref))
-    best = max(v for _, v in refined)
-    keep: list[np.ndarray] = []
-    for p_ref, v_ref in refined:
-        if v_ref >= best - 1e-8 and all(np.abs(p_ref - k).sum() > 1e-6 for k in keep):
-            keep.append(p_ref)
-    return float(best), tuple(Distribution(k) for k in keep)
+    return float(value), p_star, float(rho)
 
 
 def esp_of_r(w: Channel, R: float, resolution: int = 64) -> tuple[float, list[Distribution]]:
-    """E_SP(R) = max_P E_SP(R,P) with the set of maximizing compositions.
+    """E_SP(R) = max_P E_SP(R,P) with a maximizing composition, as a
+    one-element list.
 
-    Simplex grid (default 1/64 per coordinate) plus coordinate-ascent
-    refinement; argmax_set keeps every refined maximizer within 1e-8 of the
-    maximum. Refuses |X| > 6 and grids past ~3e5 points; lower `resolution`
-    for larger input alphabets.
+    E_SP(R) = max_{rho >= 0} [E_0(rho) - rho R] for Gallager's E_0 (Gallager,
+    Information Theory and Reliable Communication, 1968, 5.6-5.8): rho*_R
+    is the Brent-Dekker root of E_0'(rho) = R, bracketed by doubling from
+    rho = 1, and each E_0'(rho) is the envelope derivative at the maximizer
+    of `gallager_e0`, which is certified to a 1e-12 Frank-Wolfe gap and
+    warm-started from the previous one. The returned composition is the
+    E_0 maximizer at rho*_R. The result is checked against
+    `saddle_point(w, R, P*)`: its value must agree within 1e-10 and, off
+    the degenerate branch, its rho* within 1e-8 max(1, rho*_R), or
+    InvariantViolationError is raised. No alphabet size limit.
+
+    `resolution` is accepted and unused; it is kept for callers that pass
+    the constants-ledger grid along.
 
     R is in nats and must lie in the open interval (R_inf, C); any other
     rate raises DomainError.
     """
     _check_rate_domain(w, R)
-    if w.nx > 6:
-        raise DomainError("input alphabet too large for the simplex grid; use a coarser resolution")
-    if comb(resolution + w.nx - 1, w.nx - 1) > _GRID_POINT_CAP:
-        raise DomainError("simplex grid too large; use a coarser resolution")
-    value, argmax = _esp_of_r_cached(w, R, resolution)
-    return value, list(argmax)
+    value, p_star, _ = _esp_of_r_cached(w, R)
+    return value, [p_star]
 
 
 def rho_star_r(w: Channel, R: float, resolution: int = 64) -> float:
-    """Maximum |E_SP'(R,P)| over the exponent-maximizing compositions.
+    """rho*_R = |E_SP'(R)|, the maximizing rho of E_0(rho) - rho R.
 
-    R is in nats and must lie in the open interval (R_inf, C); any other
-    rate raises DomainError, as does a rate where E_SP(R) vanishes.
+    Read from the same cached solve as `esp_of_r`; `resolution` is accepted
+    and unused. R is in nats and must lie in the open interval (R_inf, C);
+    any other rate raises DomainError, as does a rate where E_SP(R)
+    vanishes.
     """
-    value, argmax = esp_of_r(w, R, resolution)
+    _check_rate_domain(w, R)
+    value, _, rho = _esp_of_r_cached(w, R)
     if value <= ESP_ZERO_TOL:
         raise DomainError("E_SP(R) vanishes here; rho*_R undefined")
-    return max(saddle_point(w, R, p).rho_star for p in argmax)
+    return rho

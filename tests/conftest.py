@@ -9,6 +9,7 @@ import pytest
 
 from spherepack.errors import AtomBudgetError, DomainError
 from spherepack.nptest import ATOM_CAP, LD, LogLrLaw, _letter_law, _merge_atoms
+from spherepack.numerics import refine_simplex_max, simplex_grid
 from spherepack.probability import Channel, Distribution, capacity, r_infinity
 from spherepack.saddle import esp_value
 
@@ -101,6 +102,32 @@ def blahut_arimoto(w: Channel, sweeps: int = 100_000) -> tuple[float, float, Dis
             break
         p = p_new
     return c_lo, c_up, Distribution(p)
+
+
+def esp_of_r_grid(w: Channel, R: float, resolution: int) -> tuple[float, list[Distribution]]:
+    """Reference E_SP(R) by the simplex search that `esp_of_r` replaced.
+
+    E_SP(R,P) at every composition with denominator `resolution`, then
+    coordinate ascent (steps 1/resolution down to 1e-6) from every grid
+    point within 1e-8 of the grid maximum. Returns the best refined value, a
+    lower bound on E_SP(R), and the distinct refined maximizers within 1e-8
+    of it.
+    """
+    grid = simplex_grid(w.nx, resolution)
+    vals = np.array([esp_value(w, R, Distribution(g)) for g in grid])
+    refined = [
+        refine_simplex_max(
+            lambda arr: esp_value(w, R, Distribution(arr)),
+            grid[i], float(vals[i]), step0=1.0 / resolution, min_step=1e-6,
+        )
+        for i in np.flatnonzero(vals >= float(vals.max()) - 1e-8)
+    ]
+    best = max(v for _, v in refined)
+    keep: list[np.ndarray] = []
+    for p_ref, v_ref in refined:
+        if v_ref >= best - 1e-8 and all(np.abs(p_ref - k).sum() > 1e-6 for k in keep):
+            keep.append(p_ref)
+    return float(best), [Distribution(k) for k in keep]
 
 
 def capacity_gap(w: Channel, p: Distribution) -> float:

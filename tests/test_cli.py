@@ -67,7 +67,7 @@ class TestExponentCommand:
 
     def test_vanishing_exponent_row_flagged_degenerate(self, bsc_file, tmp_path):
         # C(BSC(0.1)) = 0.368064207 nats: 0.36806 is inside (R_inf, C), but
-        # E_SP(R) vanishes there on the resolution-16 grid, so rho*_R is undefined
+        # E_SP(R) ~ 2e-11 there, below the 1e-10 zero tolerance, so rho*_R is undefined
         rc = main(
             ["exponent", "--channel", bsc_file, "--R", "0.2,0.36806",
              "--resolution", "16", "--out", str(tmp_path / "mixed")]
@@ -196,8 +196,7 @@ class TestBscStudyCommand:
 
 class TestZChannelStudyCommand:
     def test_gap_positive_for_z_and_zero_for_bsc(self):
-        # resolution 24 is the grid esp_of_r searches for P*_R; the acceptance
-        # test runs the default resolution 64
+        # esp_of_r takes P*_R from Gallager's E_0 and ignores the resolution
         z = Channel([[1.0, 0.0], [0.3, 0.7]])
         esp_r, best, _ = gap_study_row(z, 0.2, resolution=24)
         assert best - esp_r > 1e-3

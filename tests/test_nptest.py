@@ -159,6 +159,12 @@ class TestBuildLaw:
         assert float(np.exp(law.logp_null).sum()) == pytest.approx(1.0, rel=1e-12)
         assert peak < 64 * 2**20
 
+    def test_null_mass_closes_at_large_multiplicity(self):
+        # 0.9 + 0.1 is 1 + 2.8e-17 in float64: with the letter's logs taken in
+        # float64, the null masses of 30000 copies summed to 1 + 1.03e-12
+        law = build_loglr_law([(Distribution([0.9, 0.1]), Distribution([0.5, 0.5]), 30_000)])
+        assert abs(float(np.exp(law.logp_null).sum() - 1)) <= 5e-13
+
     @pytest.mark.parametrize("mult", [2.5, True, np.float64(3.0)])
     def test_non_integer_multiplicity_rejected(self, mult):
         p = Distribution([0.9, 0.1])

@@ -21,6 +21,7 @@ from spherepack.probability import (
     channel_from_json,
     conditional_kl,
     divergence_to_output,
+    gallager_e0,
     kl_divergence,
     mutual_information,
     r_infinity,
@@ -309,6 +310,53 @@ class TestCapacityAgainstBlahutArimoto:
         with pytest.raises(ConvergenceError) as info:
             capacity(Channel([[0.61, 0.39, 0.0], [0.05, 0.5, 0.45], [0.3, 0.3, 0.4]]))
         assert info.value.residual > 1e-10
+
+
+def e0_gap(w: Channel, rho: float, p: Distribution) -> tuple[float, float]:
+    """(-log G(P), Frank-Wolfe gap) from the definitions, G(P) = sum_y a_y^(1+rho),
+    a = P W^(1/(1+rho)), in plain numpy."""
+    wb = w.rows ** (1.0 / (1.0 + rho))
+    a = p.probs @ wb
+    g = float((a ** (1.0 + rho)).sum())
+    c = wb @ a**rho / g
+    return -float(np.log(g)), -float(np.log1p(-(1.0 + rho) * (1.0 - c.min())))
+
+
+class TestGallagerE0:
+    def test_bsc_closed_form_and_envelope_slope(self):
+        # at the uniform law, E_0(rho) = rho log 2 - (1+rho) log(p^b + (1-p)^b), b = 1/(1+rho)
+        def closed(rho: float) -> float:
+            b = 1.0 / (1.0 + rho)
+            return rho * np.log(2.0) - (1.0 + rho) * np.log(0.1**b + 0.9**b)
+
+        for rho in (0.05, 1.0, 7.5):
+            e0, p, slope = gallager_e0(bsc(0.1), rho)
+            assert e0 == pytest.approx(closed(rho), abs=1e-13)
+            assert np.abs(p.probs - 0.5).max() < 1e-9
+            h = 1e-5
+            assert slope == pytest.approx((closed(rho + h) - closed(rho - h)) / (2 * h), abs=1e-8)
+
+    def test_certified_gap_from_the_definition(self):
+        rng = np.random.default_rng(19)
+        for k in range(6):
+            w = random_channel(rng, 2 + k % 3, 3 + k % 2, sparse=k % 2 == 1)
+            for rho in (0.01, 0.7, 30.0):
+                e0, p, _ = gallager_e0(w, rho)
+                value, gap = e0_gap(w, rho, p)
+                assert value == pytest.approx(e0, abs=1e-14)
+                assert gap <= 1e-12
+
+    def test_rho_to_zero_is_capacity(self):
+        w = Channel(CHANNEL_ZERO_MASS_INPUT)
+        c, _ = capacity(w)
+        _, _, slope = gallager_e0(w, 1e-7)
+        assert slope == pytest.approx(c, abs=1e-6)
+
+    def test_step_cap_raises_with_the_gap(self, monkeypatch):
+        monkeypatch.setattr(probability, "CAPACITY_MAX_STEPS", 3)
+        with pytest.raises(ConvergenceError, match="E_0") as info:
+            gallager_e0(Channel([[0.61, 0.39, 0.0], [0.05, 0.5, 0.45], [0.3, 0.3, 0.4]]), 2.0)
+        assert info.value.residual > 1e-12
 
 
 class TestProbabilityProperties:

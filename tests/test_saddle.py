@@ -22,8 +22,10 @@ from spherepack.saddle import (
 from .conftest import (
     bsc,
     bsc_esp_closed_form,
+    esp_of_r_grid,
     interior_rate,
     nondegenerate_instance,
+    random_channel,
     random_interior_p,
 )
 
@@ -234,12 +236,29 @@ class TestEspOfR:
             with pytest.raises(DomainError, match=r"domain \(R_inf, C\) is empty"):
                 call()
 
-    def test_refuses_large_alphabet(self):
+    def test_large_alphabets_match_the_primal_oracle(self):
         rows = np.full((7, 7), 0.02)
         np.fill_diagonal(rows, 0.88)
-        w = Channel(rows)
-        with pytest.raises(DomainError, match="coarser resolution"):
-            esp_of_r(w, 0.1)
+        ten = Channel(np.random.default_rng(10).dirichlet(np.full(4, 2.0), size=10))
+        for w, rate in ((Channel(rows), 0.1), (ten, interior_rate(ten, 0.5))):
+            value, (p_star,) = esp_of_r(w, rate)
+            assert value > 1e-3
+            assert abs(esp_primal_oracle(w, rate, p_star) - value) <= 1e-8
+
+    def test_matches_the_grid_oracle_and_the_saddle(self):
+        # 40 seeded 2-4 x 2-4 channels, every third sparse
+        rng = np.random.default_rng(2026)
+        for i in range(40):
+            nx, ny = (int(v) for v in rng.integers(2, 5, size=2))
+            w = random_channel(rng, nx, ny, sparse=i % 3 == 2)
+            for frac in (0.3, 0.5, 0.8):
+                rate = interior_rate(w, frac)
+                value, (p_star,) = esp_of_r(w, rate)
+                grid, _ = esp_of_r_grid(w, rate, 16)
+                assert grid - 1e-12 <= value <= grid + 1e-9
+                sp = saddle_point(w, rate, p_star)
+                assert abs(sp.value - value) <= 1e-10
+                assert abs(rho_star_r(w, rate) - sp.rho_star) <= 1e-8
 
 
 class TestRhoStarR:
